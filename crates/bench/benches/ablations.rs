@@ -5,8 +5,8 @@
 //! 2. **re-synthesis after pruning** — how much of the pruning gain is
 //!    constant propagation + dead-cone sweeping rather than the pruned
 //!    gates themselves;
-//! 3. **exhaustive error balancing vs. greedy** in the coefficient
-//!    approximation.
+//! 3. **exact error balancing** in the coefficient approximation — the
+//!    proxy gain it buys and what the exact search costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pax_bench::catalog::{train_entry, DatasetId};
@@ -89,26 +89,17 @@ fn balance_objectives(c: &mut Criterion) {
     let quick = SynthConfig { size_factor: 0.15, ..SynthConfig::default() };
     let entry = train_entry(DatasetId::Cardio, ModelKind::SvmC, &quick);
     let cache = MultCache::new(egt_pdk::egt_library());
-    let exhaustive = CoeffApproxConfig::default();
-    let greedy = CoeffApproxConfig { exhaustive_limit: 0, ..Default::default() };
+    let cfg = CoeffApproxConfig::default();
 
-    let (m_ex, r_ex) = approximate_model(&entry.model, &cache, &exhaustive);
-    let (m_gr, r_gr) = approximate_model(&entry.model, &cache, &greedy);
-    let acc = |m: &pax_ml::quant::QuantizedModel| m.accuracy_on(&entry.test);
+    let (model, report) = approximate_model(&entry.model, &cache, &cfg);
     println!(
-        "# Ablation 3 — balance search: exhaustive proxy -{:.1}% (accuracy {:.3}), greedy \
-         proxy -{:.1}% (accuracy {:.3})",
-        r_ex.proxy_reduction_pct(),
-        acc(&m_ex),
-        r_gr.proxy_reduction_pct(),
-        acc(&m_gr)
+        "# Ablation 3 — balance search: exact proxy -{:.1}% (accuracy {:.3})",
+        report.proxy_reduction_pct(),
+        model.accuracy_on(&entry.test)
     );
 
-    c.bench_function("ablation/coeff_approx_exhaustive", |b| {
-        b.iter(|| std::hint::black_box(approximate_model(&entry.model, &cache, &exhaustive)))
-    });
-    c.bench_function("ablation/coeff_approx_greedy", |b| {
-        b.iter(|| std::hint::black_box(approximate_model(&entry.model, &cache, &greedy)))
+    c.bench_function("ablation/coeff_approx_exact", |b| {
+        b.iter(|| std::hint::black_box(approximate_model(&entry.model, &cache, &cfg)))
     });
 }
 

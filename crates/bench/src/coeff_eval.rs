@@ -23,7 +23,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use pax_core::coeff_approx::CoeffApproxConfig;
 use pax_core::explore::{
     Candidate, CoeffAxis, CoeffGene, Engine, EvalCache, EvalContext, EvalMode, Evaluator,
     ExhaustiveGrid, SearchOutcome,
@@ -114,7 +113,6 @@ fn timed_run(
         model: &entry.model,
         train: &entry.train,
         cache: fw.cache(),
-        cfg: CoeffApproxConfig::default(),
         levels: LEVELS.to_vec(),
     })
     .with_mode(mode);

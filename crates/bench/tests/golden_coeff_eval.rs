@@ -17,7 +17,6 @@
 
 use egt_pdk::TechParams;
 use pax_bench::catalog::{train_entry, DatasetId, Entry};
-use pax_core::coeff_approx::CoeffApproxConfig;
 use pax_core::explore::{
     CoeffAxis, CoeffGene, Engine, EvalContext, EvalMode, Evaluator, ExhaustiveGrid, SearchOutcome,
 };
@@ -53,7 +52,6 @@ fn run_joint_grid(
         model: &entry.model,
         train: &entry.train,
         cache,
-        cfg: CoeffApproxConfig::default(),
         levels: LEVELS.to_vec(),
     })
     .with_mode(mode);

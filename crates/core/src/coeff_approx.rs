@@ -8,12 +8,14 @@
 //!   since inputs are unsigned);
 //! * `w̃ᵢ⁺ ∈ [wᵢ−e, wᵢ]` — the cheapest value below (positive error);
 //!
-//! both clipped at the representable coefficient range. An exhaustive
-//! search over `∏ Rᵢ` then picks the configuration minimizing
+//! both clipped at the representable coefficient range. The paper then
+//! searches `∏ Rᵢ` exhaustively for the configuration minimizing
 //! `|Σ (wᵢ − w̃ᵢ)|` — balancing positive against negative errors — with
-//! ties broken towards minimal `Σ AREA(BM_w̃ᵢ)`. The multiplier-area sum
-//! is the proxy for the weighted-sum area (validated at r ≈ 0.9 by the
-//! `proxy` benchmark, as in the paper).
+//! ties broken towards minimal `Σ AREA(BM_w̃ᵢ)`. [`balance`] finds that
+//! optimum with a dynamic program over the few reachable error values
+//! instead of enumerating all `2ⁿ` configurations. The multiplier-area
+//! sum is the proxy for the weighted-sum area (validated at r ≈ 0.9 by
+//! the `proxy` benchmark, as in the paper).
 
 use pax_ml::quant::QuantizedModel;
 
@@ -25,14 +27,11 @@ pub struct CoeffApproxConfig {
     /// Neighbourhood half-width `e`. The paper fixes `e = 4`: area gains
     /// saturate beyond it (Fig. 2).
     pub e: i64,
-    /// Weighted sums with more coefficients than this fall back to a
-    /// greedy balance (the paper's models stay ≤ 21, far below this).
-    pub exhaustive_limit: usize,
 }
 
 impl Default for CoeffApproxConfig {
     fn default() -> Self {
-        Self { e: 4, exhaustive_limit: 24 }
+        Self { e: 4 }
     }
 }
 
@@ -87,11 +86,11 @@ pub fn approximate_model(
     cache: &MultCache,
     cfg: &CoeffApproxConfig,
 ) -> (QuantizedModel, CoeffApproxReport) {
-    approximate_model_layers(model, cache, cfg, &[cfg.e, cfg.e])
+    approximate_model_layers(model, cache, &[cfg.e, cfg.e])
 }
 
-/// Per-layer variant of [`approximate_model`]: `layer_e[l]` overrides
-/// the neighbourhood half-width for layer `l`'s sums. `e = 0` leaves a
+/// Per-layer variant of [`approximate_model`]: `layer_e[l]` is the
+/// neighbourhood half-width for layer `l`'s sums. `e = 0` leaves a
 /// layer exact (a width-0 neighbourhood is the identity — the
 /// `e_zero_is_identity` test pins this — so those sums are skipped
 /// wholesale rather than balanced over single-value candidate sets).
@@ -101,61 +100,33 @@ pub fn approximate_model(
 pub fn approximate_model_layers(
     model: &QuantizedModel,
     cache: &MultCache,
-    cfg: &CoeffApproxConfig,
     layer_e: &[i64],
 ) -> (QuantizedModel, CoeffApproxReport) {
     assert!(layer_e.iter().all(|&e| e >= 0), "negative neighbourhood width");
     let mut out = model.clone();
-    let shapes = model.sum_shapes();
-
-    // The sums are independent; approximate them in parallel.
-    let results: Vec<(usize, usize, Vec<i64>, SumApproxReport)> = std::thread::scope(|s| {
-        let handles: Vec<_> = shapes
-            .iter()
-            .map(|&(layer, index, in_bits)| {
-                let model = &model;
-                let cache = &cache;
-                let cfg = &cfg;
-                s.spawn(move || {
-                    let e = layer_e.get(layer).copied().unwrap_or(0);
-                    let sum = model.sum(layer, index);
-                    if e == 0 {
-                        // Identity layer: unchanged weights, zero
-                        // residual, proxy before == after.
-                        let proxy: f64 =
-                            sum.weights.iter().map(|&w| cache.area(in_bits.max(1), w)).sum();
-                        let report = SumApproxReport {
-                            layer,
-                            index,
-                            residual_error: 0,
-                            proxy_before: proxy,
-                            proxy_after: proxy,
-                        };
-                        return (layer, index, sum.weights.clone(), report);
-                    }
-                    let layer_cfg = CoeffApproxConfig { e, exhaustive_limit: cfg.exhaustive_limit };
-                    let (weights, report) = approximate_sum(
-                        &sum.weights,
-                        in_bits.max(1),
-                        model.spec.coef_range(),
-                        cache,
-                        &layer_cfg,
-                        layer,
-                        index,
-                    );
-                    (layer, index, weights, report)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("approx thread")).collect()
-    });
-
-    let mut sums = Vec::with_capacity(results.len());
-    for (layer, index, weights, report) in results {
-        out.sum_mut(layer, index).weights = weights;
+    let mut sums = Vec::new();
+    for (layer, index, in_bits) in model.sum_shapes() {
+        let e = layer_e.get(layer).copied().unwrap_or(0);
+        let weights = &model.sum(layer, index).weights;
+        let in_bits = in_bits.max(1);
+        if e == 0 {
+            // Identity layer: unchanged weights, zero residual, proxy
+            // before == after.
+            let proxy: f64 = weights.iter().map(|&w| cache.area(in_bits, w)).sum();
+            sums.push(SumApproxReport {
+                layer,
+                index,
+                residual_error: 0,
+                proxy_before: proxy,
+                proxy_after: proxy,
+            });
+            continue;
+        }
+        let (chosen, report) =
+            approximate_sum(weights, in_bits, model.spec.coef_range(), cache, e, layer, index);
+        out.sum_mut(layer, index).weights = chosen;
         sums.push(report);
     }
-    sums.sort_by_key(|r| (r.layer, r.index));
     (out, CoeffApproxReport { sums })
 }
 
@@ -165,44 +136,47 @@ fn approximate_sum(
     in_bits: u32,
     (coef_lo, coef_hi): (i64, i64),
     cache: &MultCache,
-    cfg: &CoeffApproxConfig,
+    e: i64,
     layer: usize,
     index: usize,
 ) -> (Vec<i64>, SumApproxReport) {
     let proxy_before: f64 = weights.iter().map(|&w| cache.area(in_bits, w)).sum();
 
-    // Candidate sets Ri = {down (positive error), up (negative error)}.
-    let candidates: Vec<(i64, i64)> = weights
+    // Candidate sets Ri = [down (positive error), up (negative error)].
+    let candidates: Vec<[i64; 2]> = weights
         .iter()
         .map(|&w| {
-            let up = best_in_segment(w, (w + cfg.e).min(coef_hi), in_bits, cache);
-            let down = best_in_segment((w - cfg.e).max(coef_lo), w, in_bits, cache);
-            (down, up)
+            [
+                best_in_segment((w - e).max(coef_lo), w, in_bits, cache),
+                best_in_segment(w, (w + e).min(coef_hi), in_bits, cache),
+            ]
         })
         .collect();
-
-    let chosen = if weights.len() <= cfg.exhaustive_limit {
-        exhaustive_balance(weights, &candidates, in_bits, cache)
-    } else {
-        greedy_balance(weights, &candidates, in_bits, cache)
-    };
+    let options: Vec<[(i64, f64); 2]> = weights
+        .iter()
+        .zip(&candidates)
+        .map(|(&w, pair)| pair.map(|c| (w - c, cache.area(in_bits, c))))
+        .collect();
+    let chosen: Vec<i64> = balance(&options)
+        .into_iter()
+        .zip(&candidates)
+        .map(|(up, pair)| pair[usize::from(up)])
+        .collect();
 
     let residual_error: i64 = weights.iter().zip(&chosen).map(|(w, c)| w - c).sum();
     let proxy_after: f64 = chosen.iter().map(|&w| cache.area(in_bits, w)).sum();
     (chosen, SumApproxReport { layer, index, residual_error, proxy_before, proxy_after })
 }
 
-/// The cheapest-area value in `[lo, hi]`; ties prefer values closer to
-/// the segment's original coefficient (callers pass `w` as one bound).
+/// The cheapest-area value in `[lo, hi]`. The scan runs upward with a
+/// strict `<`, so among equal-area values the lowest wins: for the up
+/// segment `[w, w+e]` that is the value nearest `w`, for the down
+/// segment `[w−e, w]` the one farthest from it.
 fn best_in_segment(lo: i64, hi: i64, in_bits: u32, cache: &MultCache) -> i64 {
     debug_assert!(lo <= hi);
     let mut best = lo;
     let mut best_area = f64::INFINITY;
-    // Scan from the bound nearest the original w outward so equal-area
-    // ties keep the smallest |w - w̃|. One bound of the segment is w
-    // itself; iterate from that side.
-    let values: Vec<i64> = (lo..=hi).collect();
-    for &cand in values.iter() {
+    for cand in lo..=hi {
         let a = cache.area(in_bits, cand);
         if a < best_area {
             best_area = a;
@@ -212,98 +186,86 @@ fn best_in_segment(lo: i64, hi: i64, in_bits: u32, cache: &MultCache) -> i64 {
     best
 }
 
-/// Exhaustive search over the 2^n candidate configurations minimizing
-/// `|Σ error|`, ties by total multiplier area.
-fn exhaustive_balance(
-    weights: &[i64],
-    candidates: &[(i64, i64)],
-    in_bits: u32,
-    cache: &MultCache,
-) -> Vec<i64> {
-    let n = weights.len();
-    // Precompute per-position (error, area) of both options.
-    let opts: Vec<[(i64, f64); 2]> = weights
-        .iter()
-        .zip(candidates)
-        .map(|(&w, &(down, up))| {
-            [(w - down, cache.area(in_bits, down)), (w - up, cache.area(in_bits, up))]
-        })
-        .collect();
-
-    let mut best_mask = 0u64;
-    let mut best_err = i64::MAX;
-    let mut best_area = f64::INFINITY;
-    for mask in 0u64..(1u64 << n) {
-        let mut err = 0i64;
-        let mut area = 0.0f64;
-        for (i, o) in opts.iter().enumerate() {
-            let pick = (mask >> i & 1) as usize;
-            err += o[pick].0;
-            area += o[pick].1;
-        }
-        let err = err.abs();
-        if err < best_err || (err == best_err && area < best_area) {
-            best_err = err;
-            best_area = area;
-            best_mask = mask;
-        }
-    }
-    weights
-        .iter()
-        .zip(candidates)
-        .enumerate()
-        .map(|(i, (_, &(down, up)))| if best_mask >> i & 1 == 1 { up } else { down })
-        .collect()
-}
-
-/// Greedy fallback for very wide sums: pick per-coefficient the cheaper
-/// candidate, then flip the choices that best re-balance the error.
-fn greedy_balance(
-    weights: &[i64],
-    candidates: &[(i64, i64)],
-    in_bits: u32,
-    cache: &MultCache,
-) -> Vec<i64> {
-    let mut chosen: Vec<i64> = candidates
-        .iter()
-        .map(
-            |&(down, up)| {
-                if cache.area(in_bits, down) <= cache.area(in_bits, up) {
-                    down
-                } else {
-                    up
-                }
-            },
-        )
-        .collect();
-    // Flip selections while it reduces |Σ error|.
-    loop {
-        let err: i64 = weights.iter().zip(&chosen).map(|(w, c)| w - c).sum();
-        if err == 0 {
-            break;
-        }
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&(down, up), &cur)) in candidates.iter().zip(&chosen).enumerate() {
-            let alt = if cur == down { up } else { down };
-            if alt == cur {
+/// The balance search over one weighted sum. `options[i]` holds the
+/// `(error, area)` of position `i`'s two candidates, down first; areas
+/// must be finite. Returns one pick per position (`true` = the second
+/// option) that minimizes `|Σ error|`, then the area summed in index
+/// order. Among equal optima it returns the picks that read smallest as
+/// a binary number with position `n − 1` most significant — the first
+/// configuration an exhaustive count over all `2ⁿ` masks meets.
+///
+/// A dynamic program over the reachable error sums: time and memory
+/// are O(n · W), where `W` is the width of the error range (at most
+/// `2·n·e + 1` for the candidate sets above), plus an O(n²) walk back.
+///
+/// Exactness, including every f64 bit of the tie-break: `d[i][s]` is
+/// the least index-order prefix area over positions `0..i` with error
+/// `s`. Float addition is monotone, so extending the least prefix gives
+/// the least extension — the forward pass keeps exact minima, and a
+/// fixed suffix re-added onto `d[i][s]` reaches the optimum area `A*`
+/// exactly when some prefix with error `s` does. The walk back decides
+/// position `n − 1` first and keeps the down pick whenever a completion
+/// of it still reaches `|Σ error| = E*` with area `A*`.
+pub fn balance(options: &[[(i64, f64); 2]]) -> Vec<bool> {
+    debug_assert!(options.iter().flatten().all(|&(_, a)| a.is_finite()), "areas must be finite");
+    let n = options.len();
+    // Every prefix error sum lies in [lo, hi]; unreachable states hold
+    // +∞.
+    let lo: i64 = options.iter().map(|o| o[0].0.min(o[1].0).min(0)).sum();
+    let hi: i64 = options.iter().map(|o| o[0].0.max(o[1].0).max(0)).sum();
+    let width = usize::try_from(hi - lo + 1).expect("error range fits in memory");
+    let slot = |s: i64| usize::try_from(s - lo).ok().filter(|&k| k < width);
+    let mut d = vec![f64::INFINITY; (n + 1) * width];
+    d[slot(0).expect("0 lies in the range")] = 0.0;
+    for (i, o) in options.iter().enumerate() {
+        let (cur, next) = d[i * width..(i + 2) * width].split_at_mut(width);
+        for (k, &prefix) in cur.iter().enumerate() {
+            if prefix == f64::INFINITY {
                 continue;
             }
-            // err = Σ(w − c); flipping c from cur to alt changes err by
-            // −(alt − cur).
-            let candidate_err = err - (alt - cur);
-            if candidate_err.abs() < best.map_or(err.abs(), |(_, e)| e) {
-                best = Some((i, candidate_err.abs()));
+            for &(err, area) in o {
+                let t = &mut next[(k as i64 + err) as usize];
+                *t = t.min(prefix + area);
             }
-        }
-        match best {
-            Some((i, _)) => {
-                let (down, up) = candidates[i];
-                chosen[i] = if chosen[i] == down { up } else { down };
-            }
-            None => break,
         }
     }
-    chosen
+
+    let last = &d[n * width..];
+    let e_star = (lo..=hi)
+        .filter(|&s| last[slot(s).expect("in range")] < f64::INFINITY)
+        .map(i64::abs)
+        .min()
+        .expect("every configuration has a reachable error");
+    let targets = if e_star == 0 { vec![0] } else { vec![-e_star, e_star] };
+    let a_star =
+        targets.iter().filter_map(|&t| slot(t)).map(|k| last[k]).fold(f64::INFINITY, f64::min);
+
+    let mut picks = vec![false; n];
+    let mut suffix_err = 0i64;
+    for pos in (0..n).rev() {
+        // Whether picking `up` at `pos`, after the picks already made
+        // above it, still completes to (E*, A*).
+        let completes = |up: bool| {
+            let (err, area) = options[pos][usize::from(up)];
+            targets.iter().any(|&t| {
+                let Some(k) = slot(t - suffix_err - err) else { return false };
+                let prefix = d[pos * width + k];
+                if prefix == f64::INFINITY {
+                    return false;
+                }
+                let mut total = prefix + area;
+                for (o, &p) in options[pos + 1..].iter().zip(&picks[pos + 1..]) {
+                    total += o[usize::from(p)].1;
+                }
+                total == a_star
+            })
+        };
+        let up = !completes(false);
+        debug_assert!(!up || completes(true), "the optimum is reachable");
+        picks[pos] = up;
+        suffix_err += options[pos][usize::from(up)].0;
+    }
+    picks
 }
 
 #[cfg(test)]
@@ -360,7 +322,7 @@ mod tests {
     fn e_zero_is_identity() {
         let m = model_with_weights(vec![vec![0.5, -0.3, 0.8]]);
         let c = cache();
-        let cfg = CoeffApproxConfig { e: 0, ..Default::default() };
+        let cfg = CoeffApproxConfig { e: 0 };
         let (approx, report) = approximate_model(&m, &c, &cfg);
         assert_eq!(approx.layer1, m.layer1);
         assert_eq!(report.proxy_before(), report.proxy_after());
@@ -375,11 +337,11 @@ mod tests {
         // Uniform per-layer widths reproduce the whole-model path
         // exactly (the legacy entry point now delegates here).
         let (uniform, _) = approximate_model(&m, &c, &cfg);
-        let (layered, rep) = approximate_model_layers(&m, &c, &cfg, &[cfg.e, cfg.e]);
+        let (layered, rep) = approximate_model_layers(&m, &c, &[cfg.e, cfg.e]);
         assert_eq!(uniform.layer1, layered.layer1);
         assert!(rep.proxy_after() < rep.proxy_before());
         // A zero width leaves the layer exact, with an identity report.
-        let (exact, rep0) = approximate_model_layers(&m, &c, &cfg, &[0]);
+        let (exact, rep0) = approximate_model_layers(&m, &c, &[0]);
         assert_eq!(exact.layer1, m.layer1);
         assert_eq!(rep0.proxy_before(), rep0.proxy_after());
         assert!(rep0.sums.iter().all(|s| s.residual_error == 0));
@@ -400,15 +362,64 @@ mod tests {
     }
 
     #[test]
-    fn greedy_matches_exhaustive_direction_on_wide_sums() {
-        let m = model_with_weights(vec![(0..30)
+    fn wide_sums_reach_the_least_residual() {
+        // 40 coefficients, far past any 2^n enumeration: the residual
+        // must still be the least |Σ error| the candidate sets can
+        // reach, here computed as an explicit reachable set.
+        let m = model_with_weights(vec![(0..40)
             .map(|i| ((i * 17 + 3) % 200) as f64 / 100.0 - 1.0)
             .collect()]);
         let c = cache();
-        let cfg = CoeffApproxConfig { e: 4, exhaustive_limit: 8 }; // force greedy
-        let (_, report) = approximate_model(&m, &c, &cfg);
+        let e = 4;
+        let (_, report) = approximate_model(&m, &c, &CoeffApproxConfig { e });
+        let (lo, hi) = m.spec.coef_range();
+        let in_bits = m.spec.input_bits;
+        let mut reachable = std::collections::BTreeSet::from([0i64]);
+        for &w in &m.layer1[0].weights {
+            let down = best_in_segment((w - e).max(lo), w, in_bits, &c);
+            let up = best_in_segment(w, (w + e).min(hi), in_bits, &c);
+            reachable = reachable.iter().flat_map(|&s| [s + w - down, s + w - up]).collect();
+        }
+        let least = reachable.iter().map(|s| s.abs()).min().expect("non-empty");
+        assert_eq!(report.sums[0].residual_error.abs(), least);
         assert!(report.proxy_after() <= report.proxy_before());
-        assert!(report.sums[0].residual_error.abs() <= 8);
+    }
+
+    #[test]
+    fn best_in_segment_keeps_the_lowest_of_equal_areas() {
+        // Powers of two are free. On w = 8's down segment [4, 8], 4 and 8
+        // tie at zero area and the upward strict-< scan keeps 4, the
+        // value farthest from w; on w = 2's up segment [2, 4] the same
+        // rule keeps w itself.
+        let c = cache();
+        assert_eq!((c.area(4, 4), c.area(4, 8)), (0.0, 0.0));
+        assert_eq!(best_in_segment(4, 8, 4, &c), 4);
+        assert_eq!(best_in_segment(2, 4, 4, &c), 2);
+    }
+
+    #[test]
+    fn balance_breaks_ties_in_counting_order() {
+        // Fully tied positions keep the first option.
+        assert_eq!(balance(&[[(0, 0.0), (0, 0.0)]; 3]), vec![false; 3]);
+        // Two positions, either one flipped up balances the error at
+        // equal area: mask 0b01 comes before 0b10.
+        let pair = [(1, 1.0), (-1, 1.0)];
+        assert_eq!(balance(&[pair, pair]), vec![true, false]);
+        // |+1| and |−1| tie on error; the area decides.
+        assert_eq!(balance(&[[(1, 0.0), (-1, 5.0)]]), vec![false]);
+        assert_eq!(balance(&[[(1, 5.0), (-1, 0.0)]]), vec![true]);
+        assert!(balance(&[]).is_empty());
+    }
+
+    #[test]
+    fn balance_compares_areas_as_index_order_f64_sums() {
+        // Both balanced configurations cost 0.6 in exact arithmetic, but
+        // (0.1 + 0.2) + 0.3 rounds above (0.3 + 0.2) + 0.1: the second,
+        // later-counted configuration is strictly cheaper as summed.
+        let options = [[(1, 0.1), (-1, 0.3)], [(0, 0.2), (0, 0.2)], [(-1, 0.3), (1, 0.1)]];
+        let area = |picks: [usize; 3]| options.iter().zip(picks).fold(0.0, |a, (o, p)| a + o[p].1);
+        assert!(area([0, 0, 0]) > area([1, 0, 1]));
+        assert_eq!(balance(&options), vec![true, false, true]);
     }
 
     #[test]
@@ -421,7 +432,7 @@ mod tests {
         let m = model_with_weights(vec![vec![0.43, -0.61, 0.29, 0.87, -0.33, 0.11]]);
         let c = cache();
         for e in [1, 2, 4, 6, 10] {
-            let (_, r) = approximate_model(&m, &c, &CoeffApproxConfig { e, ..Default::default() });
+            let (_, r) = approximate_model(&m, &c, &CoeffApproxConfig { e });
             assert!(r.proxy_after() <= r.proxy_before() + 1e-9, "e={e}");
         }
     }

@@ -22,7 +22,7 @@ use pax_obs::{Phases, PhasesSnapshot};
 
 use super::fabric::{EvalFabric, FabricError};
 use super::{Candidate, CoeffGene, ContextSpace, SearchSpace, MAX_COEFF_LAYERS};
-use crate::coeff_approx::{approximate_model_layers, CoeffApproxConfig};
+use crate::coeff_approx::approximate_model_layers;
 use crate::error::StudyError;
 use crate::mult_cache::MultCache;
 use crate::prune::{
@@ -96,9 +96,6 @@ pub struct CoeffAxis<'a> {
     /// Shared bespoke-multiplier area cache (thread-safe; concurrent
     /// materializations share it).
     pub cache: &'a MultCache,
-    /// Balance-search settings. The `e` field is ignored — the graded
-    /// widths below rule.
-    pub cfg: CoeffApproxConfig,
     /// Neighbourhood half-width of each graded level: `levels[k - 1]`
     /// is the `e` gene level `k` applies (level 0 is always exact).
     /// Must be non-empty, strictly positive and ascending.
@@ -419,7 +416,7 @@ impl<'a> Evaluator<'a> {
                 level => axis.levels[usize::from(level) - 1],
             })
             .collect();
-        let (model, _) = approximate_model_layers(axis.model, axis.cache, &axis.cfg, &widths);
+        let (model, _) = approximate_model_layers(axis.model, axis.cache, &widths);
         let netlist =
             pax_synth::opt::optimize(&pax_bespoke::BespokeCircuit::generate(&model).netlist);
         let analysis = crate::prune::analyze(&netlist, &model, axis.train);

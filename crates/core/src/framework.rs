@@ -23,6 +23,7 @@
 //! area / power / delay), and [`Framework::run_study_with`] overrides
 //! both per study.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use egt_pdk::{Library, TechParams};
@@ -154,7 +155,9 @@ pub struct FrameworkConfig {
 pub struct ExecStats {
     /// Baseline generation + measurement, in ms.
     pub baseline_ms: u128,
-    /// Coefficient approximation (including multiplier-cache fill), ms.
+    /// Coefficient approximation, ms. Includes the multiplier-cache
+    /// fill, which the cache is shared for: the first study that needs
+    /// an input width pays for it, later ones find it filled.
     pub coeff_ms: u128,
     /// Pruning exploration on the baseline, ms. Zero in joint mode
     /// ([`SearchConfig::coeff_levels`] non-empty), where one
@@ -252,21 +255,23 @@ impl CircuitStudy {
 /// The cross-layer approximation framework.
 #[derive(Debug)]
 pub struct Framework {
-    lib: Library,
     cfg: FrameworkConfig,
-    cache: MultCache,
+    /// Bespoke-multiplier areas; also holds the library in use.
+    cache: Arc<MultCache>,
 }
 
 impl Framework {
-    /// Creates a framework over the built-in EGT library.
+    /// Creates a framework over the built-in EGT library. Every such
+    /// framework shares the process-wide [`MultCache::egt`], so only the
+    /// first study of an input width pays for its multiplier synthesis.
     pub fn new(cfg: FrameworkConfig) -> Self {
-        Self::with_library(egt_pdk::egt_library(), cfg)
+        Self { cfg, cache: MultCache::egt() }
     }
 
-    /// Creates a framework over a custom printed library.
+    /// Creates a framework over a custom printed library, with a
+    /// private multiplier-area cache.
     pub fn with_library(lib: Library, cfg: FrameworkConfig) -> Self {
-        let cache = MultCache::new(lib.clone());
-        Self { lib, cfg, cache }
+        Self { cfg, cache: Arc::new(MultCache::new(lib)) }
     }
 
     /// The framework's configuration.
@@ -274,14 +279,14 @@ impl Framework {
         &self.cfg
     }
 
-    /// The shared bespoke-multiplier area cache.
+    /// The bespoke-multiplier area cache.
     pub fn cache(&self) -> &MultCache {
         &self.cache
     }
 
     /// The library in use.
     pub fn library(&self) -> &Library {
-        &self.lib
+        self.cache.library()
     }
 
     /// Measures one circuit: test-set accuracy (and its switching
@@ -353,10 +358,10 @@ impl Framework {
         technique: Technique,
     ) -> Result<DesignPoint, StudyError> {
         let outcome = try_evaluate_compiled(compiled, model, test)?;
-        let area = area::area_mm2(netlist, &self.lib)?;
+        let area = area::area_mm2(netlist, self.library())?;
         let power =
-            pax_sim::power::power(netlist, &self.lib, &self.cfg.tech, &outcome.sim.activity)?;
-        let timing = pax_sta::analyze(netlist, &self.lib, &self.cfg.tech)?;
+            pax_sim::power::power(netlist, self.library(), &self.cfg.tech, &outcome.sim.activity)?;
+        let timing = pax_sta::analyze(netlist, self.library(), &self.cfg.tech)?;
         Ok(DesignPoint {
             technique,
             tau_c: None,
@@ -518,7 +523,7 @@ impl Framework {
                 let t2 = Instant::now();
                 let analysis = analyze_compiled(&base_tape, &base_circuit.netlist, model, train);
                 let evaluator = Evaluator::new(
-                    &self.lib,
+                    self.library(),
                     &self.cfg.tech,
                     test,
                     vec![EvalContext {
@@ -532,7 +537,6 @@ impl Framework {
                     model,
                     train,
                     cache: &self.cache,
-                    cfg: self.cfg.coeff.clone(),
                     levels: search.coeff_levels.clone(),
                 });
                 let mut engine =
@@ -706,7 +710,7 @@ impl Framework {
     ) -> Result<(Vec<DesignPoint>, SearchStats), StudyError> {
         let analysis = analyze_compiled(tape, &circuit.netlist, model, train);
         let evaluator = Evaluator::new(
-            &self.lib,
+            self.library(),
             &self.cfg.tech,
             test,
             vec![EvalContext { coeff: gene, netlist: &circuit.netlist, model, analysis }],
@@ -744,6 +748,39 @@ mod tests {
         let m = train_svm_classifier(&train, &SvmParams { epochs: 50, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("fw", &m, QuantSpec::default());
         Framework::new(FrameworkConfig::default()).run_study(&q, &train, &test)
+    }
+
+    #[test]
+    fn egt_frameworks_share_one_cache() {
+        let a = Framework::new(FrameworkConfig::default());
+        let b = Framework::new(FrameworkConfig::default());
+        assert!(Arc::ptr_eq(&a.cache, &b.cache));
+        let private = Framework::with_library(egt_pdk::egt_library(), FrameworkConfig::default());
+        assert!(!Arc::ptr_eq(&a.cache, &private.cache));
+    }
+
+    #[test]
+    fn shared_cache_study_equals_private_cache_study() {
+        // Another study fills the shared cache first; the next study
+        // must not tell a warm shared cache from a cold private one.
+        let _ = small_study();
+        let data = blobs("sc", 240, 4, 3, 0.09, 99);
+        let (train, test) = data.split(0.7, 1);
+        let (train, test) = pax_ml::normalize(&train, &test);
+        let m = train_svm_classifier(&train, &SvmParams { epochs: 50, ..Default::default() }, 3);
+        let q = QuantizedModel::from_linear_classifier("sc", &m, QuantSpec::default());
+        let shared = Framework::new(FrameworkConfig::default()).run_study(&q, &train, &test);
+        let private = Framework::with_library(egt_pdk::egt_library(), FrameworkConfig::default())
+            .run_study(&q, &train, &test);
+        // `{:?}` prints every f64 in its shortest round-trip form, so
+        // equal strings mean bit-identical values.
+        let fingerprint = |s: &CircuitStudy| {
+            format!(
+                "{:?}|{:?}|{:?}|{:?}|{:?}",
+                s.baseline, s.coeff, s.prune_only, s.cross, s.coeff_report.sums
+            )
+        };
+        assert_eq!(fingerprint(&shared), fingerprint(&private));
     }
 
     #[test]

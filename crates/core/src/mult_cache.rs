@@ -6,8 +6,11 @@
 //! candidate with Design Compiler (≤ 6 s on 12 licensed threads); here
 //! each candidate is generated, optimized and measured in-process, and
 //! memoized behind a read-write lock so parallel sweeps share the cache.
+//! Every framework over the built-in EGT library shares one process-wide
+//! cache ([`MultCache::egt`]).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use egt_pdk::Library;
 use parking_lot::RwLock;
@@ -25,6 +28,15 @@ impl MultCache {
     /// Creates an empty cache over the given library.
     pub fn new(lib: Library) -> Self {
         Self { lib, map: RwLock::new(HashMap::new()) }
+    }
+
+    /// The process-wide cache over the built-in EGT library. Entries
+    /// key on the exact `(in_bits, w)` and are a pure function of the
+    /// library, so sharing moves no result, only who pays for the
+    /// synthesis.
+    pub fn egt() -> Arc<Self> {
+        static EGT: OnceLock<Arc<MultCache>> = OnceLock::new();
+        Arc::clone(EGT.get_or_init(|| Arc::new(Self::new(egt_pdk::egt_library()))))
     }
 
     /// The library this cache measures against.

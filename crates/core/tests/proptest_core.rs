@@ -1,6 +1,6 @@
 //! Property tests over the framework's two approximation layers.
 
-use pax_core::coeff_approx::{approximate_model, CoeffApproxConfig};
+use pax_core::coeff_approx::{approximate_model, balance, CoeffApproxConfig};
 use pax_core::mult_cache::MultCache;
 use pax_core::{pareto, DesignPoint, Technique};
 use pax_ml::model::LinearClassifier;
@@ -24,6 +24,60 @@ fn arb_model() -> impl Strategy<Value = QuantizedModel> {
     })
 }
 
+/// The balance search as the paper states it: count through all 2ⁿ
+/// masks (bit i picks position i's second option) and keep the first
+/// with the least `|Σ error|`, then the least index-order area sum.
+fn brute_force_balance(options: &[[(i64, f64); 2]]) -> Vec<bool> {
+    let (mut best_mask, mut best_err, mut best_area) = (0u64, i64::MAX, f64::INFINITY);
+    for mask in 0u64..(1 << options.len()) {
+        let (mut err, mut area) = (0i64, 0.0f64);
+        for (i, o) in options.iter().enumerate() {
+            let (e, a) = o[(mask >> i & 1) as usize];
+            err += e;
+            area += a;
+        }
+        let err = err.abs();
+        if err < best_err || (err == best_err && area < best_area) {
+            (best_mask, best_err, best_area) = (mask, err, area);
+        }
+    }
+    (0..options.len()).map(|i| best_mask >> i & 1 == 1).collect()
+}
+
+/// One weighted sum's candidate pairs: per coefficient a weight within
+/// ±3 of a signed power of two and a down/up candidate drawn from its
+/// `[w−e, w]` / `[w, w+e]` segments, so zero-area and other equal-area
+/// ties are common. Returns `(in_bits, e, [(w, down, up)])`.
+fn arb_balance_sum() -> impl Strategy<Value = (u32, i64, Vec<(i64, i64, i64)>)> {
+    (1i64..8).prop_flat_map(|e| {
+        let coeff = (0u32..8, any::<bool>(), -3i64..=3, 0..=e, 0..=e).prop_map(
+            move |(k, neg, off, dn, up)| {
+                let w = ((1i64 << k) * if neg { -1 } else { 1 } + off).clamp(-128, 127);
+                (w, (w - dn).max(-128), (w + up).min(127))
+            },
+        );
+        (prop_oneof![Just(4u32), Just(8u32)], Just(e), proptest::collection::vec(coeff, 0..17))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dynamic-programming balance search picks exactly what the
+    /// 2ⁿ enumeration picks, ties included.
+    #[test]
+    fn coeff_balance_matches_brute_force(case in arb_balance_sum()) {
+        let (in_bits, e, sum) = case;
+        let cache = MultCache::egt();
+        let options: Vec<[(i64, f64); 2]> = sum
+            .iter()
+            .map(|&(w, down, up)| [down, up].map(|c| (w - c, cache.area(in_bits, c))))
+            .collect();
+        prop_assert!(options.iter().flatten().all(|&(err, _)| err.abs() <= e));
+        prop_assert_eq!(balance(&options), brute_force_balance(&options));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -33,7 +87,7 @@ proptest! {
     #[test]
     fn coeff_approx_invariants(model in arb_model(), e in 0i64..6) {
         let cache = MultCache::new(egt_pdk::egt_library());
-        let cfg = CoeffApproxConfig { e, ..Default::default() };
+        let cfg = CoeffApproxConfig { e };
         let (approx, report) = approximate_model(&model, &cache, &cfg);
         let (lo, hi) = model.spec.coef_range();
         for (before, after) in model.layer1.iter().zip(&approx.layer1) {

@@ -24,7 +24,6 @@
 
 use egt_pdk::{Library, TechParams};
 use pax_bespoke::BespokeCircuit;
-use pax_core::coeff_approx::CoeffApproxConfig;
 use pax_core::explore::{
     Candidate, CoeffAxis, CoeffGene, EvalCache, EvalContext, EvalMode, Evaluator,
 };
@@ -333,7 +332,6 @@ proptest! {
             model: &f.model,
             train: &f.train,
             cache: &cache,
-            cfg: CoeffApproxConfig::default(),
             levels: vec![2, 4],
         };
         let overlay = Evaluator::new(&lib, &tech, &f.test, contexts()).with_coeff_axis(axis());

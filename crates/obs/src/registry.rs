@@ -59,14 +59,17 @@ impl Gauge {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtracts `n`, saturating at zero.
-    pub fn sub(&self, n: u64) {
+    /// Subtracts `n`, saturating at zero, and returns the value before
+    /// the decrement. The saturation hides an underflow from readers;
+    /// a caller whose decrements always pair with earlier adds should
+    /// debug-assert that the returned value covers `n`.
+    pub fn sub(&self, n: u64) -> u64 {
         let mut current = self.0.load(Ordering::Relaxed);
         loop {
             let next = current.saturating_sub(n);
             match self.0.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
             {
-                Ok(_) => return,
+                Ok(_) => return current,
                 Err(observed) => current = observed,
             }
         }
@@ -312,10 +315,10 @@ mod tests {
     fn gauge_saturates_at_zero() {
         let g = Gauge::new();
         g.add(3);
-        g.sub(5);
+        assert_eq!(g.sub(5), 3, "sub reports the value it found");
         assert_eq!(g.get(), 0, "gauge must clamp instead of wrapping");
         g.add(2);
-        g.sub(1);
+        assert_eq!(g.sub(1), 2);
         assert_eq!(g.get(), 1);
     }
 

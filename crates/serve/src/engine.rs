@@ -726,6 +726,55 @@ mod tests {
     }
 
     #[test]
+    fn every_gauge_reads_zero_once_all_tickets_resolve() {
+        // Eight submitters, each sending one row at a time to its own
+        // model beside jobs for two tenants, race four workers. Each
+        // model gauge idles at 0, so a drain that overtook its enqueue's
+        // increment would underflow: debug builds assert on every drain
+        // that the gauge covered it, and once every ticket has resolved
+        // every model, tenant and shard gauge must read 0.
+        let engine = ServeEngine::new(EngineConfig { workers: 4, ..Default::default() });
+        let models: Vec<String> = (0..8).map(|i| format!("gauge-{i}")).collect();
+        for m in &models {
+            engine.register(demo_artifact(m)).unwrap();
+        }
+        let tenants: Vec<TenantHandle> = (0..2)
+            .map(|i| {
+                engine.register_tenant(&format!("gauge-t{i}"), crate::TenantOptions::default())
+            })
+            .collect::<Result<_, _>>()
+            .unwrap();
+        std::thread::scope(|s| {
+            for model in &models {
+                let (engine, tenants) = (&engine, &tenants);
+                s.spawn(move || {
+                    for row in rows(2000) {
+                        let ticket = engine.submit(model, row).unwrap();
+                        let jobs: Vec<_> = tenants
+                            .iter()
+                            .map(|t| t.submit_job(Box::new(|| {})).unwrap())
+                            .collect();
+                        assert!(matches!(ticket.wait(), Outcome::Class(_)));
+                        for job in jobs {
+                            assert_eq!(job.wait(), crate::JobOutcome::Done);
+                        }
+                    }
+                });
+            }
+        });
+        for m in &models {
+            assert_eq!(engine.metrics(m).unwrap().queue_depth, 0, "model {m}");
+        }
+        for t in &tenants {
+            assert_eq!(t.snapshot().queue_depth, 0, "tenant {}", t.name());
+        }
+        for (shard, depth) in engine.shared.registry.shard_queue_depths().into_iter().enumerate() {
+            assert_eq!(depth, 0, "shard {shard}");
+        }
+        engine.shutdown();
+    }
+
+    #[test]
     fn audit_on_exact_artifact_never_diverges() {
         let engine = ServeEngine::new(EngineConfig {
             workers: 2,

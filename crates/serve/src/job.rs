@@ -24,6 +24,7 @@ use parking_lot::{Condvar, Mutex};
 use pax_obs::{Gauge, Histogram, MetricSample, SampleValue};
 
 use crate::batch::CancelReason;
+use crate::metrics::drain;
 
 /// One fully-owned unit of tenant work. Deliberately the same shape as
 /// `pax_core::explore::FabricJob`, so an evaluator job boxes straight
@@ -106,10 +107,14 @@ impl QueuedJob {
     }
 
     /// Runs the job on the calling worker, catching a panic so one bad
-    /// job cannot poison the thread. Returns `true` if it panicked.
-    pub(crate) fn execute(mut self) -> bool {
+    /// job cannot poison the thread, then hands `meter` whether it
+    /// panicked before resolving the ticket: once a ticket resolves, its
+    /// job already shows in the tenant's counters. Returns `true` if it
+    /// panicked.
+    pub(crate) fn execute(mut self, meter: impl FnOnce(bool)) -> bool {
         let run = self.run.take().expect("a queued job executes at most once");
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err();
+        meter(panicked);
         self.slot.fill(if panicked { JobOutcome::Panicked } else { JobOutcome::Done });
         panicked
     }
@@ -212,9 +217,10 @@ impl TenantEntry {
             return Err((job, EnqueueRefusal::Full));
         }
         self.budget_spent.fetch_add(1, Ordering::Relaxed);
-        queue.push_back(job);
-        drop(queue);
+        // Meter before the job becomes visible to workers (see
+        // `ModelEntry::enqueue`).
         self.metrics.on_submit();
+        queue.push_back(job);
         Ok(())
     }
 
@@ -236,13 +242,14 @@ impl TenantEntry {
     pub(crate) fn run_jobs(&self, jobs: Vec<QueuedJob>) {
         for job in jobs {
             let enqueued = job.enqueued;
-            let panicked = job.execute();
-            let latency_ns = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if panicked {
-                self.metrics.on_panic(latency_ns);
-            } else {
-                self.metrics.on_done(latency_ns);
-            }
+            job.execute(|panicked| {
+                let latency_ns = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                if panicked {
+                    self.metrics.on_panic(latency_ns);
+                } else {
+                    self.metrics.on_done(latency_ns);
+                }
+            });
         }
     }
 
@@ -356,15 +363,16 @@ impl TenantMetrics {
     fn on_done(&self, latency_ns: u64) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.latency.record(latency_ns);
-        self.queue_depth.sub(1);
+        drain(&self.queue_depth, 1);
     }
 
     fn on_panic(&self, latency_ns: u64) {
         self.panicked.fetch_add(1, Ordering::Relaxed);
         self.latency.record(latency_ns);
-        self.queue_depth.sub(1);
+        drain(&self.queue_depth, 1);
     }
 
+    /// Unchecked, like `ModelMetrics::on_cancel`.
     fn on_cancel(&self, n: usize) {
         self.cancelled.fetch_add(n as u64, Ordering::Relaxed);
         self.queue_depth.sub(n as u64);
@@ -414,7 +422,7 @@ mod tests {
             r.fetch_add(1, Ordering::SeqCst);
         }));
         assert_eq!(ticket.try_get(), None);
-        assert!(!job.execute(), "a healthy job does not panic");
+        assert!(!job.execute(|_| {}), "a healthy job does not panic");
         assert_eq!(ran.load(Ordering::SeqCst), 1);
         assert_eq!(ticket.wait(), JobOutcome::Done);
     }
@@ -433,7 +441,7 @@ mod tests {
     #[test]
     fn panicking_job_is_caught_and_reported() {
         let (job, ticket) = QueuedJob::new(Box::new(|| panic!("job bug")));
-        assert!(job.execute(), "the panic must be caught and reported");
+        assert!(job.execute(|_| {}), "the panic must be caught and reported");
         assert_eq!(ticket.wait(), JobOutcome::Panicked);
     }
 

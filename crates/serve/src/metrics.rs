@@ -89,9 +89,12 @@ impl ModelMetrics {
         for &ns in latencies_ns {
             self.latency.record(ns);
         }
-        self.queue_depth.sub(n);
+        drain(&self.queue_depth, n);
     }
 
+    /// Cancels decrement without the underflow check:
+    /// `queue_depth_saturates_instead_of_wrapping` pins that a cancel
+    /// after a failed batch of the same requests clamps at zero.
     pub(crate) fn on_cancel(&self, n: usize) {
         self.queue_depth.sub(n as u64);
     }
@@ -101,7 +104,7 @@ impl ModelMetrics {
     /// from a metrics dashboard, not just from client-side retries.
     pub(crate) fn on_batch_failed(&self, batch_size: usize, error: &str) {
         self.failed_batches.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.sub(batch_size as u64);
+        drain(&self.queue_depth, batch_size as u64);
         *self.last_failure.lock() = Some(error.to_owned());
     }
 
@@ -193,6 +196,15 @@ impl ModelMetrics {
             last_failure: self.last_failure.lock().clone(),
         }
     }
+}
+
+/// Takes `n` finished items off a queue gauge. Enqueue meters each item
+/// before a worker can take it, so the gauge must cover them; a
+/// shortfall is a metering race, which the gauge's saturation would
+/// otherwise hide.
+pub(crate) fn drain(gauge: &Gauge, n: u64) {
+    let before = gauge.sub(n);
+    debug_assert!(before >= n, "queue gauge underflow: draining {n} from {before}");
 }
 
 /// Point-in-time metrics for one model.

@@ -110,9 +110,11 @@ impl ModelEntry {
             self.metrics.on_reject();
             return false;
         }
-        queue.push_back(req);
-        drop(queue);
+        // Meter before the request becomes visible: a worker can drain
+        // it as soon as the lock drops, and its decrement must find the
+        // increment already there.
         self.metrics.on_submit();
+        queue.push_back(req);
         true
     }
 
