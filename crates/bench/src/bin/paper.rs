@@ -10,7 +10,7 @@
 //! paper proxy                  # §III-B   (area-proxy correlation)
 //! paper explore                # grid vs NSGA-II search (BENCH_explore.json)
 //! paper prune_eval             # rebuild vs overlay evaluation (BENCH_prune_eval.json)
-//! paper delta_eval             # delta sessions vs fresh-fold overlay (BENCH_delta_eval.json)
+//! paper delta_eval             # chained vs per-candidate delta sessions (BENCH_delta_eval.json)
 //! paper coeff_eval             # stacked coeff+prune overlay vs rebuild (BENCH_coeff_eval.json)
 //! paper fabric_eval            # in-process vs serve-fabric evaluation (BENCH_fabric_eval.json)
 //! paper obs                    # journalled NSGA-II study + journal verification
@@ -228,7 +228,7 @@ fn run_prune_eval(opts: &Options) {
 fn run_delta_eval(opts: &Options) {
     let cfg = synth_config(opts);
     let rows = pax_bench::delta_eval::run(&cfg);
-    println!("# Candidate evaluation — delta sessions vs fresh-fold overlay at steady state\n");
+    println!("# Candidate evaluation — one chained delta session vs a new session per candidate\n");
     println!("{}", pax_bench::delta_eval::render(&rows));
     let json = pax_bench::delta_eval::to_json(&rows, &cfg);
     write_artifact(opts, "delta_eval.json", &json);
@@ -247,7 +247,7 @@ fn run_fabric_eval(opts: &Options) {
     let cfg = synth_config(opts);
     let seed = pax_core::explore::resolve_seed(0xFAB);
     let rows = pax_bench::fabric_eval::run(&cfg, seed);
-    println!("# Candidate evaluation — in-process overlay vs the serve-engine fabric\n");
+    println!("# Candidate evaluation — in-process vs the serve-engine fabric\n");
     println!("{}", pax_bench::fabric_eval::render(&rows));
     let json = pax_bench::fabric_eval::to_json(&rows, &cfg, seed);
     write_artifact(opts, "fabric_eval.json", &json);

@@ -3,17 +3,18 @@
 //!
 //! The graded coefficient axis ([`Evaluator::with_coeff_axis`]) opens
 //! per-gene base circuits next to the exact baseline; candidates then
-//! stack a pruning mask on whichever base their gene selects. This
-//! study drives the *same* joint exhaustive grid in both
-//! [`EvalMode`]s: `Rebuild` re-synthesizes, recompiles and
-//! re-simulates every candidate (the differential oracle), `Overlay`
-//! evaluates candidates as prune masks on each gene's shared compiled
-//! tape. Lazy context materialization (per-gene approximation +
-//! synthesis + τ/φ analysis) is byte-for-byte identical work in both
-//! modes and happens once per joint study, so it is warmed *outside*
-//! the timed region (its cost is recorded separately per row); the
-//! timed region is the full ask/evaluate/tell loop, i.e. the
-//! candidate-evaluation throughput the two modes actually differ on.
+//! stack a pruning mask on whichever base their gene selects. The
+//! production side drives the joint exhaustive grid through the
+//! engine, evaluating candidates as prune masks on each gene's shared
+//! compiled tape; the baseline side re-measures the very designs that
+//! run evaluated with the rebuild oracle
+//! ([`Evaluator::evaluate_rebuild`]): re-synthesize, recompile and
+//! re-simulate every candidate. Both sides run on one thread. Lazy
+//! context materialization (per-gene approximation + synthesis + τ/φ
+//! analysis + overlay build) happens once per joint study, so it is
+//! warmed *outside* the timed region (its cost is recorded separately
+//! per row); the timed regions are the full ask/evaluate/tell loop and
+//! the oracle pass over the same designs.
 //!
 //! Acceptance bar (recorded in the JSON): on the cardio svm-r joint
 //! grid, the stacked overlay returns **bit-identical** design points
@@ -24,16 +25,15 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pax_core::explore::{
-    Candidate, CoeffAxis, CoeffGene, Engine, EvalCache, EvalContext, EvalMode, Evaluator,
-    ExhaustiveGrid, SearchOutcome,
+    Candidate, CoeffAxis, CoeffGene, Engine, EvalCache, EvalContext, Evaluator, ExhaustiveGrid,
+    SearchOutcome,
 };
 use pax_core::framework::{Framework, FrameworkConfig};
-use pax_core::prune::PruneAnalysis;
 use pax_ml::quant::ModelKind;
 use pax_ml::synth_data::SynthConfig;
-use pax_netlist::Netlist;
 
 use crate::catalog::{train_entry, DatasetId, Entry};
+use crate::paired::{bit_identical, distinct};
 use crate::table1::tech_for;
 
 /// The graded widths the study's coefficient axis opens (gene level
@@ -47,17 +47,17 @@ pub struct CoeffEvalRow {
     pub circuit: String,
     /// Coefficient genes in the joint space (exact + graded levels).
     pub genes: usize,
-    /// Distinct candidates the joint exhaustive grid evaluated (per
-    /// mode).
+    /// Distinct candidates the joint exhaustive grid evaluated.
     pub candidates: usize,
     /// One-time per-gene base materialization (approximation +
-    /// synthesis + τ/φ analysis), identical in both modes, in ms.
+    /// synthesis + τ/φ analysis + overlay build), outside both timed
+    /// regions, in ms.
     pub materialize_ms: f64,
     /// Joint grid wall-clock, rebuild pipeline, in ms.
     pub rebuild_ms: f64,
     /// Joint grid wall-clock, stacked overlay, in ms.
     pub overlay_ms: f64,
-    /// Whether both modes returned bit-identical design points
+    /// Whether both sides returned bit-identical design points
     /// (speedups are meaningless otherwise).
     pub identical: bool,
 }
@@ -80,33 +80,29 @@ impl CoeffEvalRow {
 }
 
 /// Timing repetitions per measurement; the minimum wall-clock is
-/// reported (standard best-of-N to shed scheduler noise — both modes
+/// reported (standard best-of-N to shed scheduler noise — both sides
 /// get the same treatment).
 const REPEATS: usize = 3;
 
-/// Runs the joint exhaustive grid in the given mode, timing the full
-/// ask/evaluate/tell loop on a cold engine. The evaluator is built —
-/// and every gene's base circuit materialized — *before* the clock
-/// starts: that work is identical in both modes, so keeping it out of
-/// the timed region isolates the per-candidate cost the modes differ
-/// on. Returns the outcome, the best-of-N loop wall-clock, the
-/// one-time materialization wall-clock and the gene count.
-fn timed_run(
-    entry: &Entry,
-    base: &Netlist,
-    analysis: &PruneAnalysis,
-    fw: &Framework,
-    mode: EvalMode,
-) -> (SearchOutcome, f64, f64, usize) {
+/// Runs the comparison on one catalog entry: builds the joint
+/// evaluator, materializes every gene's base circuit, then times the
+/// joint exhaustive grid on a cold engine per repetition and the
+/// rebuild oracle over the distinct designs it evaluated.
+pub fn run_entry(entry: &Entry) -> CoeffEvalRow {
+    let cfg = FrameworkConfig { tech: tech_for(entry.dataset, entry.kind), ..Default::default() };
+    let fw = Framework::new(cfg);
+    let base =
+        pax_synth::opt::optimize(&pax_bespoke::BespokeCircuit::generate(&entry.model).netlist);
+    let analysis = pax_core::prune::analyze(&base, &entry.model, &entry.train);
     let evaluator = Evaluator::new(
         fw.library(),
         &fw.config().tech,
         &entry.test,
         vec![EvalContext {
             coeff: CoeffGene::exact(),
-            netlist: base,
+            netlist: &base,
             model: &entry.model,
-            analysis: analysis.clone(),
+            analysis,
         }],
     )
     .with_coeff_axis(CoeffAxis {
@@ -115,8 +111,8 @@ fn timed_run(
         cache: fw.cache(),
         levels: LEVELS.to_vec(),
     })
-    .with_mode(mode);
-    let genes: Vec<CoeffGene> = evaluator.genes().to_vec();
+    .with_threads(1);
+    let genes = evaluator.genes();
 
     // Force every lazy context to materialize by evaluating one
     // ungated probe per gene (throwaway cache — nothing leaks into
@@ -137,44 +133,26 @@ fn timed_run(
             best = Some((outcome, ms));
         }
     }
-    let (outcome, ms) = best.expect("at least one repetition");
-    (outcome, ms, materialize_ms, genes.len())
-}
+    let (outcome, overlay_ms) = best.expect("at least one repetition");
 
-/// Whether two outcomes carry bit-identical design points in the same
-/// order.
-fn bit_identical(a: &SearchOutcome, b: &SearchOutcome) -> bool {
-    a.points.len() == b.points.len()
-        && a.points.iter().zip(&b.points).all(|((ca, pa), (cb, pb))| {
-            ca == cb
-                && pa.accuracy.to_bits() == pb.accuracy.to_bits()
-                && pa.area_mm2.to_bits() == pb.area_mm2.to_bits()
-                && pa.power_mw.to_bits() == pb.power_mw.to_bits()
-                && pa.critical_ms.to_bits() == pb.critical_ms.to_bits()
-                && pa.gate_count == pb.gate_count
-        })
-}
-
-/// Runs the comparison on one catalog entry.
-pub fn run_entry(entry: &Entry) -> CoeffEvalRow {
-    let cfg = FrameworkConfig { tech: tech_for(entry.dataset, entry.kind), ..Default::default() };
-    let fw = Framework::new(cfg);
-    let base =
-        pax_synth::opt::optimize(&pax_bespoke::BespokeCircuit::generate(&entry.model).netlist);
-    let analysis = pax_core::prune::analyze(&base, &entry.model, &entry.train);
-
-    let (rebuild, rebuild_ms, materialize_ms, genes) =
-        timed_run(entry, &base, &analysis, &fw, EvalMode::Rebuild);
-    let (overlay, overlay_ms, _, _) = timed_run(entry, &base, &analysis, &fw, EvalMode::Overlay);
+    let designs = distinct(&evaluator, &outcome.points);
+    let genomes: Vec<Candidate> = designs.iter().map(|(c, _)| *c).collect();
+    let mut rebuild_ms = f64::INFINITY;
+    let mut rebuilt = Vec::new();
+    for _ in 0..REPEATS {
+        let t = Instant::now();
+        rebuilt = evaluator.evaluate_rebuild(&genomes).expect("rebuild evaluation");
+        rebuild_ms = rebuild_ms.min(t.elapsed().as_secs_f64() * 1e3);
+    }
 
     CoeffEvalRow {
         circuit: entry.label(),
-        genes,
-        candidates: rebuild.stats.evaluated,
+        genes: genes.len(),
+        candidates: designs.len(),
         materialize_ms,
         rebuild_ms,
         overlay_ms,
-        identical: bit_identical(&rebuild, &overlay),
+        identical: bit_identical(&designs, &rebuilt),
     }
 }
 
@@ -221,7 +199,7 @@ pub fn render(rows: &[CoeffEvalRow]) -> String {
 pub fn to_json(rows: &[CoeffEvalRow], cfg: &SynthConfig) -> String {
     let mut out = String::from("{\n");
     out.push_str(
-        "  \"benchmark\": \"stacked coeff+prune overlay vs rebuild (cargo run -p pax-bench --release --bin paper -- coeff_eval)\",\n",
+        "  \"benchmark\": \"stacked coeff+prune overlay vs rebuild, one thread each (cargo run -p pax-bench --release --bin paper -- coeff_eval)\",\n",
     );
     let _ = writeln!(out, "  \"levels\": [{}],", LEVELS.map(|e| e.to_string()).join(", "));
     let _ = writeln!(

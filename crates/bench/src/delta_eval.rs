@@ -1,152 +1,121 @@
-//! Steady-state candidate-evaluation throughput: delta-overlay
-//! sessions versus the fresh-fold overlay baseline
+//! Steady-state candidate-evaluation throughput: one chained delta
+//! session versus a new session per candidate
 //! (`BENCH_delta_eval.json`).
 //!
-//! Both paths run the *same* prebuilt overlay evaluator (shared
-//! compiled tape, same pinned thread count) over the paper's exhaustive
-//! `(τc, φc)` grid, repeated for several sweeps so the measurement is
-//! the per-candidate steady state rather than tape construction. The
-//! only difference is [`Evaluator::with_delta`]: on, fresh work is
-//! lattice-ordered and each worker evaluates through a rolling
-//! [`DeltaSession`](pax_core::prune::DeltaSession) that replays folds
-//! from checkpoints and re-simulates only changed cone slots; off,
-//! every candidate folds and simulates from scratch — the PR 9 overlay
-//! baseline. The study verifies the two paths returned **bit-identical**
-//! design points (accuracy/area/power/delay and gate counts, row by
-//! row) before reporting any speedup.
+//! Both sides evaluate every distinct gate set of the paper's
+//! exhaustive `(τc, φc)` grid, in lattice order, on one prebuilt
+//! [`OverlayContext`] (shared compiled tape and base trace), repeated
+//! for several sweeps so the measurement is the per-candidate steady
+//! state rather than context construction. The chained side threads
+//! one [`DeltaSession`](pax_core::prune::DeltaSession) through every
+//! candidate, so each fold resumes from its neighbour's replay and the
+//! simulation re-executes only the changed cone; the fresh side gives
+//! every candidate a new session — a from-scratch fold and a full-cone
+//! simulation. The study verifies the two returned **bit-identical**
+//! evaluations (accuracy/area/power/delay and gate counts, set by set)
+//! before reporting any speedup.
 //!
-//! Acceptance bar (recorded in the JSON): the delta path reaches ≥ 1.5×
-//! the baseline's grid-sweep throughput on the cardio svm-r circuit.
+//! Timing runs in [`PAIRS`] pairs that alternate which side goes
+//! first; the verdict reads the median per-pair speedup, and the JSON
+//! records its interquartile range next to it.
+//!
+//! Acceptance bar (recorded in the JSON): the chained session reaches
+//! ≥ 1.5× the fresh sessions' grid-sweep throughput on the cardio
+//! svm-r circuit.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
-use pax_core::explore::{Candidate, CoeffGene, EvalCache, EvalContext, EvalMode, Evaluator};
 use pax_core::framework::{Framework, FrameworkConfig};
-use pax_core::prune::{analyze, enumerate_grid, DeltaFoldStats, PruneAnalysis};
-use pax_core::DesignPoint;
+use pax_core::prune::{
+    analyze, enumerate_grid, DeltaFoldStats, OverlayContext, PruneAnalysis, PruneEval,
+};
 use pax_ml::quant::ModelKind;
 use pax_ml::synth_data::SynthConfig;
+use pax_netlist::NetId;
 
 use crate::catalog::{train_entry, DatasetId, Entry};
+use crate::paired::Paired;
 use crate::table1::tech_for;
 
-/// One circuit's delta-vs-baseline measurement.
+/// One circuit's chained-vs-fresh measurement.
 #[derive(Debug)]
 pub struct DeltaEvalRow {
     /// Circuit label (`cardio svm-r`, …).
     pub circuit: String,
     /// Distinct prunings per sweep (the paper's exhaustive grid).
     pub grid_candidates: usize,
-    /// Timed grid sweeps per repetition.
+    /// Grid sweeps per timed run.
     pub sweeps: usize,
-    /// Wall-clock for the timed sweeps, fresh-fold baseline, in ms.
+    /// Median wall-clock of the timed sweeps, new session per
+    /// candidate, in ms.
     pub baseline_ms: f64,
-    /// Wall-clock for the timed sweeps, delta sessions, in ms.
+    /// Median wall-clock of the timed sweeps, one chained session, in
+    /// ms.
     pub delta_ms: f64,
-    /// Delta-fold counters from the delta evaluator's timed sweeps.
+    /// Median per-pair throughput ratio (chained ÷ fresh).
+    pub speedup: f64,
+    /// Interquartile range of the per-pair ratio.
+    pub speedup_iqr: f64,
+    /// Delta-fold counters of the chained side's timed sweeps.
     pub stats: DeltaFoldStats,
-    /// Whether both paths returned bit-identical design points on every
-    /// row of every sweep compared (speedups are meaningless otherwise).
+    /// Whether both sides returned bit-identical evaluations for every
+    /// set (speedups are meaningless otherwise).
     pub identical: bool,
 }
 
 impl DeltaEvalRow {
-    /// Steady-state throughput ratio (delta ÷ baseline).
-    pub fn speedup(&self) -> f64 {
-        self.baseline_ms / self.delta_ms.max(1e-9)
-    }
-
-    /// Candidates per second, fresh-fold baseline.
+    /// Candidates per second, new session per candidate (median run).
     pub fn baseline_cps(&self) -> f64 {
         (self.grid_candidates * self.sweeps) as f64 / (self.baseline_ms / 1e3).max(1e-9)
     }
 
-    /// Candidates per second, delta sessions.
+    /// Candidates per second, one chained session (median run).
     pub fn delta_cps(&self) -> f64 {
         (self.grid_candidates * self.sweeps) as f64 / (self.delta_ms / 1e3).max(1e-9)
     }
 }
 
-/// Timing repetitions per measurement; the minimum wall-clock is
-/// reported (best-of-N to shed scheduler noise — both paths get the
-/// same treatment).
-const REPEATS: usize = 3;
+/// Timed pairs per measurement.
+pub const PAIRS: usize = 5;
 
-/// Grid sweeps per timed repetition. Each sweep evaluates every grid
-/// candidate freshly (a cold [`EvalCache`] per sweep), so the figure is
-/// per-candidate evaluation cost, not cache-hit cost.
+/// Grid sweeps per timed run, so the figure is per-candidate
+/// evaluation cost rather than session setup.
 const SWEEPS: usize = 8;
 
-/// Pinned worker-pool width: both paths run at the same parallelism so
-/// the comparison measures the evaluation discipline, not scheduling.
-/// One worker keeps every sweep a single unbroken lattice chain (the
-/// longest-reuse shape) and sheds the scheduler noise that dominates
-/// millisecond-scale grids; the chunk-stealing multi-worker delta path
-/// is exercised — and pinned bit-identical — by the evaluator's own
-/// test suite.
-const THREADS: usize = 1;
-
-/// The paper's exhaustive grid as evaluator genomes, one per *distinct*
-/// gate set (duplicate `(τc, φc)` combos collapse onto the same set and
-/// would be in-batch cache hits, which neither path should be billed
-/// for).
-fn grid_genomes(analysis: &PruneAnalysis, fw: &Framework) -> Vec<Candidate> {
-    let grid = enumerate_grid(analysis, &fw.config().prune);
-    let mut seen = vec![false; grid.sets.len()];
-    let mut out = Vec::new();
-    for combo in &grid.combos {
-        if !std::mem::replace(&mut seen[combo.set], true) {
-            out.push(Candidate {
-                coeff: CoeffGene::exact(),
-                tau_c: combo.tau_c,
-                phi_c: combo.phi_c,
-            });
+/// [`SWEEPS`] sweeps over `sets`, through one session (`chained`) or a
+/// new session per candidate; returns the last sweep's evaluations.
+fn sweeps(
+    ctx: &OverlayContext,
+    analysis: &PruneAnalysis,
+    sets: &[Vec<NetId>],
+    chained: bool,
+) -> Vec<PruneEval> {
+    let mut session = ctx.delta_session();
+    let mut out = Vec::with_capacity(sets.len());
+    for _ in 0..SWEEPS {
+        out.clear();
+        for set in sets {
+            if !chained {
+                session = ctx.delta_session();
+            }
+            out.push(ctx.evaluate(analysis, set, &mut session).expect("grid evaluation"));
         }
     }
     out
 }
 
-/// Runs `SWEEPS` cold-cache sweeps over the genomes on a prebuilt
-/// evaluator, best-of-[`REPEATS`], returning the last sweep's rows and
-/// the best wall-clock. A warmup sweep first forces the lazy overlay
-/// (tape compilation) so the timing is pure steady state.
-fn timed_sweeps(
-    evaluator: &Evaluator<'_>,
-    genomes: &[Candidate],
-) -> (Vec<(Candidate, DesignPoint)>, f64, DeltaFoldStats) {
-    let mut warm_cache = EvalCache::new();
-    evaluator.evaluate_batch(genomes, &mut warm_cache, None).expect("warmup sweep");
-    let timed_start = evaluator.delta_stats();
-    let mut best: Option<(Vec<(Candidate, DesignPoint)>, f64)> = None;
-    for _ in 0..REPEATS {
-        let t = Instant::now();
-        let mut rows = Vec::new();
-        for _ in 0..SWEEPS {
-            let mut cache = EvalCache::new();
-            let (r, _) = evaluator.evaluate_batch(genomes, &mut cache, None).expect("sweep");
-            rows = r;
-        }
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|(_, b)| ms < *b) {
-            best = Some((rows, ms));
-        }
-    }
-    let (rows, ms) = best.expect("at least one repetition");
-    (rows, ms, evaluator.delta_stats().since(&timed_start))
-}
-
-/// Whether two result sets carry bit-identical design points for the
-/// same genomes in the same order, on all four measured axes.
-fn bit_identical(a: &[(Candidate, DesignPoint)], b: &[(Candidate, DesignPoint)]) -> bool {
+/// Whether two evaluation lists agree bit for bit on every field.
+fn bit_identical(a: &[PruneEval], b: &[PruneEval]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|((ca, pa), (cb, pb))| {
-            ca == cb
-                && pa.accuracy.to_bits() == pb.accuracy.to_bits()
-                && pa.area_mm2.to_bits() == pb.area_mm2.to_bits()
-                && pa.power_mw.to_bits() == pb.power_mw.to_bits()
-                && pa.critical_ms.to_bits() == pb.critical_ms.to_bits()
-                && pa.gate_count == pb.gate_count
+        && a.iter().zip(b).all(|(x, y)| {
+            x.accuracy.to_bits() == y.accuracy.to_bits()
+                && x.area_mm2.to_bits() == y.area_mm2.to_bits()
+                && x.power_mw.to_bits() == y.power_mw.to_bits()
+                && x.critical_ms.to_bits() == y.critical_ms.to_bits()
+                && x.gate_count == y.gate_count
+                && x.n_pruned == y.n_pruned
         })
 }
 
@@ -157,38 +126,51 @@ pub fn run_entry(entry: &Entry) -> DeltaEvalRow {
     let base =
         pax_synth::opt::optimize(&pax_bespoke::BespokeCircuit::generate(&entry.model).netlist);
     let analysis = analyze(&base, &entry.model, &entry.train);
-    let genomes = grid_genomes(&analysis, &fw);
+    // Lattice order: the order a DFS of the set-prefix trie visits.
+    let mut sets = enumerate_grid(&analysis, &fw.config().prune).sets;
+    sets.sort_unstable();
+    let ctx = OverlayContext::new(
+        base,
+        entry.model.clone(),
+        Arc::new(entry.test.clone()),
+        fw.library(),
+        fw.config().tech.clone(),
+    )
+    .expect("overlay context");
 
-    let build = |delta: bool| -> Evaluator<'_> {
-        Evaluator::new(
-            fw.library(),
-            &fw.config().tech,
-            &entry.test,
-            vec![EvalContext {
-                coeff: CoeffGene::exact(),
-                netlist: &base,
-                model: &entry.model,
-                analysis: analysis.clone(),
-            }],
-        )
-        .with_mode(EvalMode::Overlay)
-        .with_threads(THREADS)
-        .with_delta(delta)
-    };
-
-    let baseline = build(false);
-    let (baseline_rows, baseline_ms, _) = timed_sweeps(&baseline, &genomes);
-    let delta = build(true);
-    let (delta_rows, delta_ms, stats) = timed_sweeps(&delta, &genomes);
+    // Warm both paths before timing.
+    sweeps(&ctx, &analysis, &sets, true);
+    sweeps(&ctx, &analysis, &sets, false);
+    let mut stats = DeltaFoldStats::default();
+    let (mut chained, mut fresh) = (Vec::new(), Vec::new());
+    let timing = Paired::run(
+        PAIRS,
+        || {
+            let before = ctx.delta_stats();
+            let t = Instant::now();
+            chained = sweeps(&ctx, &analysis, &sets, true);
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            stats.merge(&ctx.delta_stats().since(&before));
+            ms
+        },
+        || {
+            let t = Instant::now();
+            fresh = sweeps(&ctx, &analysis, &sets, false);
+            t.elapsed().as_secs_f64() * 1e3
+        },
+    );
+    let (speedup, speedup_iqr) = timing.ratio();
 
     DeltaEvalRow {
         circuit: entry.label(),
-        grid_candidates: genomes.len(),
+        grid_candidates: sets.len(),
         sweeps: SWEEPS,
-        baseline_ms,
-        delta_ms,
+        baseline_ms: timing.b_median(),
+        delta_ms: timing.a_median(),
+        speedup,
+        speedup_iqr,
         stats,
-        identical: bit_identical(&delta_rows, &baseline_rows),
+        identical: bit_identical(&chained, &fresh),
     }
 }
 
@@ -209,19 +191,20 @@ pub fn run(cfg: &SynthConfig) -> Vec<DeltaEvalRow> {
 /// Markdown rendering of the comparison.
 pub fn render(rows: &[DeltaEvalRow]) -> String {
     let mut out = String::from(
-        "| Circuit | Grid cands | Sweeps | Baseline ms | Delta ms | Speedup | Baseline c/s | Delta c/s | Delta folds | Mean delta | Identical |\n",
+        "| Circuit | Grid cands | Sweeps | Fresh ms | Chained ms | Speedup | IQR | Fresh c/s | Chained c/s | Delta folds | Mean delta | Identical |\n",
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|\n");
+    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
     for r in rows {
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {:.0} | {:.0} | {:.2}× | {:.0} | {:.0} | {}/{} | {} | {} |",
+            "| {} | {} | {} | {:.0} | {:.0} | {:.2}× | {:.2} | {:.0} | {:.0} | {}/{} | {} | {} |",
             r.circuit,
             r.grid_candidates,
             r.sweeps,
             r.baseline_ms,
             r.delta_ms,
-            r.speedup(),
+            r.speedup,
+            r.speedup_iqr,
             r.baseline_cps(),
             r.delta_cps(),
             r.stats.delta_folds,
@@ -237,25 +220,26 @@ pub fn render(rows: &[DeltaEvalRow]) -> String {
 pub fn to_json(rows: &[DeltaEvalRow], cfg: &SynthConfig) -> String {
     let mut out = String::from("{\n");
     out.push_str(
-        "  \"benchmark\": \"delta-overlay vs fresh-fold candidate evaluation (cargo run -p pax-bench --release --bin paper -- delta_eval)\",\n",
+        "  \"benchmark\": \"one chained delta session vs a new session per candidate (cargo run -p pax-bench --release --bin paper -- delta_eval)\",\n",
     );
     let _ = writeln!(
         out,
         "  \"synth_config\": {{ \"seed\": {}, \"size_factor\": {} }},",
         cfg.seed, cfg.size_factor
     );
-    let _ = writeln!(out, "  \"threads\": {THREADS},");
+    let _ = writeln!(out, "  \"pairs\": {PAIRS},");
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{ \"circuit\": \"{}\", \"grid_candidates\": {}, \"sweeps\": {}, \"baseline_ms\": {:.1}, \"delta_ms\": {:.1}, \"speedup\": {:.3}, \"baseline_cps\": {:.1}, \"delta_cps\": {:.1}, \"delta_folds\": {}, \"full_folds\": {}, \"delta_hit_rate\": {:.3}, \"mean_delta_nets\": {:.2}, \"identical\": {} }}{}",
+            "    {{ \"circuit\": \"{}\", \"grid_candidates\": {}, \"sweeps\": {}, \"baseline_ms\": {:.1}, \"delta_ms\": {:.1}, \"speedup\": {:.3}, \"speedup_iqr\": {:.3}, \"baseline_cps\": {:.1}, \"delta_cps\": {:.1}, \"delta_folds\": {}, \"full_folds\": {}, \"delta_hit_rate\": {:.3}, \"mean_delta_nets\": {:.2}, \"identical\": {} }}{}",
             r.circuit,
             r.grid_candidates,
             r.sweeps,
             r.baseline_ms,
             r.delta_ms,
-            r.speedup(),
+            r.speedup,
+            r.speedup_iqr,
             r.baseline_cps(),
             r.delta_cps(),
             r.stats.delta_folds,
@@ -268,10 +252,10 @@ pub fn to_json(rows: &[DeltaEvalRow], cfg: &SynthConfig) -> String {
     }
     out.push_str("  ],\n");
     let acceptance_row = rows.iter().find(|r| r.circuit.contains("cardio"));
-    let pass = acceptance_row.is_some_and(|r| r.identical && r.speedup() >= 1.5);
+    let pass = acceptance_row.is_some_and(|r| r.identical && r.speedup >= 1.5);
     out.push_str("  \"acceptance\": {\n");
     out.push_str(
-        "    \"bar\": \"delta sessions >= 1.5x fresh-fold overlay grid throughput on cardio svm-r, with bit-identical results\",\n",
+        "    \"bar\": \"median per-pair speedup of one chained session >= 1.5x a new session per candidate on the cardio svm-r grid, with bit-identical results\",\n",
     );
     let _ = writeln!(out, "    \"pass\": {pass}");
     out.push_str("  }\n}\n");
@@ -288,9 +272,10 @@ mod tests {
         let entry = train_entry(DatasetId::RedWine, ModelKind::SvmR, &cfg);
         let row = run_entry(&entry);
         assert!(row.grid_candidates > 0);
-        assert!(row.identical, "delta and fresh-fold paths diverged");
+        assert!(row.identical, "chained and fresh sessions diverged");
         assert!(row.baseline_ms > 0.0 && row.delta_ms > 0.0);
         assert!(row.stats.delta_folds > 0, "the lattice-ordered sweeps never took the delta path");
+        assert!(row.speedup > 0.0 && row.speedup_iqr >= 0.0);
         let md = render(std::slice::from_ref(&row));
         assert!(md.contains("redwine"));
         let json = to_json(std::slice::from_ref(&row), &cfg);

@@ -20,15 +20,16 @@
 //!   of the `pax_obs` search journal and evaluation-phase spans;
 //! * [`prune_eval`] — rebuild-pipeline versus overlay candidate
 //!   evaluation throughput (the `BENCH_prune_eval.json` study);
-//! * [`delta_eval`] — delta-overlay sessions versus the fresh-fold
-//!   overlay baseline at steady state (the `BENCH_delta_eval.json`
-//!   study);
+//! * [`delta_eval`] — one chained delta session versus a new session
+//!   per candidate at steady state (the `BENCH_delta_eval.json` study);
 //! * [`coeff_eval`] — stacked coefficient+pruning overlay versus the
 //!   rebuild oracle on the joint graded-gene grid (the
 //!   `BENCH_coeff_eval.json` study);
-//! * [`fabric_eval`] — in-process overlay versus evaluation routed
+//! * [`fabric_eval`] — in-process evaluation versus evaluation routed
 //!   through a serve-engine tenant on the shared worker pool (the
-//!   `BENCH_fabric_eval.json` study).
+//!   `BENCH_fabric_eval.json` study);
+//! * [`paired`] — what those studies share: bit-identity checks and
+//!   paired timing with a median ratio and its interquartile range.
 //!
 //! The `paper` binary exposes all of it:
 //!
@@ -49,6 +50,7 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod obs;
+pub mod paired;
 pub mod proxy;
 pub mod prune_eval;
 pub mod quantsweep;

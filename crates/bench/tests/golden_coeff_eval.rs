@@ -18,7 +18,7 @@
 use egt_pdk::TechParams;
 use pax_bench::catalog::{train_entry, DatasetId, Entry};
 use pax_core::explore::{
-    CoeffAxis, CoeffGene, Engine, EvalContext, EvalMode, Evaluator, ExhaustiveGrid, SearchOutcome,
+    Candidate, CoeffAxis, CoeffGene, Engine, EvalContext, Evaluator, ExhaustiveGrid,
 };
 use pax_core::mult_cache::MultCache;
 use pax_core::prune::{analyze, PruneConfig};
@@ -29,15 +29,14 @@ use pax_netlist::Netlist;
 /// The graded widths pinned here (gene level k → `LEVELS[k - 1]`).
 const LEVELS: [i64; 2] = [2, 4];
 
-fn run_joint_grid(
-    entry: &Entry,
-    base: &Netlist,
-    cache: &MultCache,
-    tech: &TechParams,
-    mode: EvalMode,
-) -> SearchOutcome {
+fn joint_evaluator<'a>(
+    entry: &'a Entry,
+    base: &'a Netlist,
+    cache: &'a MultCache,
+    tech: &'a TechParams,
+) -> Evaluator<'a> {
     let analysis = analyze(base, &entry.model, &entry.train);
-    let evaluator = Evaluator::new(
+    Evaluator::new(
         cache.library(),
         tech,
         &entry.test,
@@ -54,10 +53,6 @@ fn run_joint_grid(
         cache,
         levels: LEVELS.to_vec(),
     })
-    .with_mode(mode);
-    Engine::new(&evaluator, &PruneConfig::default())
-        .run(&mut ExhaustiveGrid::new())
-        .expect("joint grid evaluation")
 }
 
 #[test]
@@ -69,13 +64,20 @@ fn cardio_svm_r_joint_design_point_is_pinned() {
     let cache = MultCache::new(egt_pdk::egt_library());
     let tech = TechParams::egt();
 
-    let overlay = run_joint_grid(&entry, &base, &cache, &tech, EvalMode::Overlay);
-    let rebuild = run_joint_grid(&entry, &base, &cache, &tech, EvalMode::Rebuild);
+    let overlay =
+        Engine::new(&joint_evaluator(&entry, &base, &cache, &tech), &PruneConfig::default())
+            .run(&mut ExhaustiveGrid::new())
+            .expect("joint grid evaluation");
+    // The rebuild oracle on a second evaluator, over the same genomes.
+    let genomes: Vec<Candidate> = overlay.points.iter().map(|(c, _)| *c).collect();
+    let rebuild = joint_evaluator(&entry, &base, &cache, &tech)
+        .evaluate_rebuild(&genomes)
+        .expect("joint grid rebuild");
 
     // Stacked overlay and rebuild agree bitwise on every axis of every
     // joint-grid point…
-    assert_eq!(overlay.points.len(), rebuild.points.len());
-    for ((ca, pa), (cb, pb)) in overlay.points.iter().zip(&rebuild.points) {
+    assert_eq!(overlay.points.len(), rebuild.len());
+    for ((ca, pa), (cb, pb)) in overlay.points.iter().zip(&rebuild) {
         assert_eq!(ca, cb);
         assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits(), "accuracy diverged at {ca:?}");
         assert_eq!(pa.area_mm2.to_bits(), pb.area_mm2.to_bits(), "area diverged at {ca:?}");

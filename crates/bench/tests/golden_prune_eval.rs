@@ -12,6 +12,8 @@
 //! overlay landed; overlay and rebuild agreed bit-for-bit then, and
 //! both are asserted against the same constants now.
 
+use std::sync::Arc;
+
 use egt_pdk::TechParams;
 use pax_bench::catalog::{train_entry, DatasetId};
 use pax_core::prune::{analyze, try_evaluate_set_rebuild, OverlayContext};
@@ -35,8 +37,15 @@ fn cardio_svm_r_design_point_is_pinned() {
     let set: Vec<NetId> = grid.sets.iter().max_by_key(|s| s.len()).expect("non-empty grid").clone();
     assert!(!set.is_empty(), "the design point must prune something");
 
-    let ctx = OverlayContext::new(&base, &entry.model, &entry.test, &lib, &tech).unwrap();
-    let overlay = ctx.evaluate(&analysis, &set).unwrap();
+    let ctx = OverlayContext::new(
+        base.clone(),
+        entry.model.clone(),
+        Arc::new(entry.test.clone()),
+        &lib,
+        tech.clone(),
+    )
+    .unwrap();
+    let overlay = ctx.evaluate(&analysis, &set, &mut ctx.delta_session()).unwrap();
     let rebuild =
         try_evaluate_set_rebuild(&base, &entry.model, &entry.test, &lib, &tech, &analysis, &set)
             .unwrap();

@@ -34,11 +34,6 @@ pub enum StudyError {
         /// asked for.
         gene: crate::explore::CoeffGene,
     },
-    /// A parallel grid evaluation drained without a result for every
-    /// set. Unreachable unless a worker died without reporting an error
-    /// — this variant replaces the old `expect("every set evaluated")`
-    /// panic on the drain path.
-    IncompleteGrid,
     /// The evaluation fabric refused or dropped a shipped job: the pool
     /// is shutting down, the study's tenant was unregistered mid-batch,
     /// or its job budget is spent. See
@@ -67,9 +62,6 @@ impl std::fmt::Display for StudyError {
                     )
                 }
             }
-            StudyError::IncompleteGrid => {
-                write!(f, "grid evaluation drained without a result for every pruned set")
-            }
             StudyError::Fabric(e) => write!(f, "evaluation fabric failed the batch: {e}"),
             StudyError::Journal(e) => write!(f, "search journal I/O failed: {e}"),
         }
@@ -82,9 +74,7 @@ impl std::error::Error for StudyError {
             StudyError::Library(e) => Some(e),
             StudyError::Sim(e) => Some(e),
             StudyError::Fabric(e) => Some(e),
-            StudyError::MissingContext { .. }
-            | StudyError::IncompleteGrid
-            | StudyError::Journal(_) => None,
+            StudyError::MissingContext { .. } | StudyError::Journal(_) => None,
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Candidate evaluation: genome → pruned netlist → measured
-//! [`DesignPoint`], deduplicated by content hash and parallel across a
+//! Candidate evaluation: genome → pruned gate set → measured
+//! [`DesignPoint`], deduplicated by content and parallel across a
 //! worker pool.
 //!
 //! Every evaluation measures all four quality axes — accuracy, area,
@@ -9,58 +9,40 @@
 //! cached designs under a different axis selection
 //! ([`Engine::set_objectives`](super::Engine::set_objectives)) costs
 //! no fresh synthesis or simulation.
+//!
+//! There is one production path. Each base circuit lives in one shared,
+//! owned context: its netlist and model inside an [`OverlayContext`],
+//! its pruning analysis, and a last-in-first-out pool of
+//! [`DeltaSession`]s. Fresh work is sorted in lattice order and turned
+//! into one `'static` job per candidate; a job pops a session,
+//! evaluates, and pushes the session back, so the next job — the
+//! candidate's lattice neighbour — resumes from it. The jobs run on
+//! the evaluator's scoped workers, or on an attached [`EvalFabric`].
+//! The rebuild pipeline is the oracle
+//! ([`Evaluator::evaluate_rebuild`]).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use egt_pdk::{Library, TechParams};
+use parking_lot::Mutex;
 use pax_ml::quant::QuantizedModel;
 use pax_ml::Dataset;
 use pax_netlist::{NetId, Netlist};
 
 use pax_obs::{Phases, PhasesSnapshot};
 
-use super::fabric::{EvalFabric, FabricError};
+use super::fabric::{EvalFabric, FabricError, FabricJob};
 use super::{Candidate, CoeffGene, ContextSpace, SearchSpace, MAX_COEFF_LAYERS};
 use crate::coeff_approx::approximate_model_layers;
 use crate::error::StudyError;
 use crate::mult_cache::MultCache;
 use crate::prune::{
-    phase, DeltaFoldStats, DeltaSession, OverlayContext, PruneAnalysis, PruneConfig, PruneEval,
-    EVAL_PHASES,
+    phase, try_evaluate_set_rebuild, DeltaFoldStats, DeltaSession, OverlayContext, PruneAnalysis,
+    PruneConfig, PruneEval, EVAL_PHASES,
 };
 use crate::{DesignPoint, Technique};
-
-/// How the evaluator measures a candidate.
-///
-/// [`EvalMode::Overlay`] (the default) evaluates prunings as masks on
-/// the base circuit's shared compiled tape: no per-candidate
-/// re-synthesis, recompilation or stimulus re-packing, timing re-timed
-/// only in the affected cone. [`EvalMode::Rebuild`] keeps the legacy
-/// pipeline — re-synthesize, recompile, re-simulate per candidate. The
-/// two are bit-identical on every measured axis (the differential
-/// suite pins it); `Rebuild` exists as that suite's oracle and as the
-/// `pax-bench prune_eval` baseline.
-///
-/// [`EvalMode::Fabric`] is overlay evaluation *routed through an
-/// external worker pool* ([`EvalFabric`]) instead of the evaluator's
-/// private scoped threads: each fresh candidate ships as an owned batch
-/// job (an `Arc`'d owned overlay context + the gate set) to — in
-/// production — the `pax-serve` engine, which multiplexes it with live
-/// inference traffic under per-study queues and budgets. Fabric results
-/// are bit-identical to `Overlay` (same `OverlayContext::evaluate` code
-/// path over clones of the same inputs; the fabric differential suite
-/// pins it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Prune-as-mask on the shared compiled tape (fast path, default).
-    #[default]
-    Overlay,
-    /// Per-candidate re-synthesis + recompilation (legacy oracle).
-    Rebuild,
-    /// Overlay evaluation shipped to an attached [`EvalFabric`].
-    Fabric,
-}
 
 /// One caller-provided base circuit a candidate can be pruned from —
 /// e.g. the exact bespoke baseline ([`CoeffGene::exact`]) or a
@@ -102,59 +84,90 @@ pub struct CoeffAxis<'a> {
     pub levels: Vec<i64>,
 }
 
-/// One base circuit materialized from the coefficient axis: the
-/// per-layer-approximated model, its optimized bespoke netlist and the
-/// pruning analysis — exactly what a caller-provided [`EvalContext`]
-/// carries, but built inside the evaluator on first use.
+/// One base circuit's shared evaluation state, owned and `'static` so
+/// evaluation jobs can carry it to any worker: the overlay (which owns
+/// the base netlist and model), the pruning analysis, and a pool of
+/// evaluation sessions. A failed overlay build (a library gap, a
+/// malformed stimulus) is kept and reported by every evaluation on the
+/// context.
 #[derive(Debug)]
-struct MaterializedBase {
-    model: QuantizedModel,
-    netlist: Netlist,
+struct SharedContext {
+    overlay: Result<OverlayContext, StudyError>,
     analysis: PruneAnalysis,
+    /// Idle sessions, last in first out: the session a job pops is the
+    /// one that evaluated the most recently finished candidate, which
+    /// in lattice order is the closest neighbour available.
+    sessions: Mutex<Vec<DeltaSession>>,
 }
 
-/// One slot of the evaluator's context table.
-#[derive(Debug)]
-enum ContextSlot<'a> {
-    /// Caller-provided (borrowed) base circuit.
-    Given(EvalContext<'a>),
-    /// Materialized from the [`CoeffAxis`] on first access; the
-    /// `OnceLock` keeps concurrent workers from racing the synthesis.
-    Lazy { gene: CoeffGene, cell: OnceLock<MaterializedBase> },
-}
+impl SharedContext {
+    fn new(
+        netlist: Netlist,
+        model: QuantizedModel,
+        analysis: PruneAnalysis,
+        test: &Arc<Dataset>,
+        lib: &Library,
+        tech: &TechParams,
+    ) -> Self {
+        let overlay = OverlayContext::new(netlist, model, Arc::clone(test), lib, tech.clone());
+        Self { overlay, analysis, sessions: Mutex::new(Vec::new()) }
+    }
 
-impl ContextSlot<'_> {
-    fn gene(&self) -> CoeffGene {
-        match self {
-            ContextSlot::Given(c) => c.coeff,
-            ContextSlot::Lazy { gene, .. } => *gene,
-        }
+    fn overlay(&self) -> Result<&OverlayContext, StudyError> {
+        self.overlay.as_ref().map_err(Clone::clone)
+    }
+
+    /// Evaluates one sorted gate set on a pooled session (a new one
+    /// when every pooled session is busy).
+    fn evaluate(&self, set: &[NetId]) -> Result<PruneEval, StudyError> {
+        let overlay = self.overlay()?;
+        let mut session = self.sessions.lock().pop().unwrap_or_else(|| overlay.delta_session());
+        let result = overlay.evaluate(&self.analysis, set, &mut session);
+        self.sessions.lock().push(session);
+        result
     }
 }
 
-/// Memoized evaluations keyed by the 64-bit content hash of
-/// `(context, sorted pruned-gate set)`: different `(τc, φc)` pairs — and
-/// different strategies sharing one [`Engine`](super::Engine) — often
-/// select the same gates, which are synthesized and simulated once.
-/// Debug builds keep the full sets and assert on hash collisions.
+/// One slot of the evaluator's context table. Caller-provided contexts
+/// are filled at construction; coefficient-axis contexts are
+/// materialized on first access (the `OnceLock` keeps concurrent
+/// workers from racing the synthesis).
+#[derive(Debug)]
+struct ContextSlot {
+    gene: CoeffGene,
+    shared: OnceLock<Arc<SharedContext>>,
+}
+
+/// Memoized evaluations of `(context, sorted pruned-gate set)`:
+/// different `(τc, φc)` pairs — and different strategies sharing one
+/// [`Engine`](super::Engine) — often select the same gates, which are
+/// measured once. Entries are bucketed by a 64-bit content hash, and a
+/// hit compares the stored context and set, so a hash collision can
+/// never answer with another design's metrics.
 ///
 /// Concurrency contract: the cache is only ever touched by the thread
 /// driving [`Evaluator::evaluate_batch`] (it is `&mut` there). Workers
-/// — the in-process pool and fabric jobs alike — never see it; they
-/// return evaluations over a channel and the driving thread inserts
-/// them. Hit/len accounting is therefore free of lost updates by
+/// — in-process and fabric alike — never see it; they return
+/// evaluations over a channel and the driving thread inserts them.
+/// Hit/len accounting is therefore free of lost updates by
 /// construction: duplicate keys inside one batch are collapsed *before*
-/// any parallel work starts (`fresh` holds each key once), so two
-/// workers can never race an insert of the same content hash, and
-/// `hits`/`len` are deterministic for a deterministic candidate stream
-/// regardless of worker count or evaluation mode — the repeated-run
-/// equality suite asserts exactly that.
+/// any parallel work starts, so two workers never race an insert of
+/// the same design, and `hits`/`len` are deterministic for a
+/// deterministic candidate stream regardless of worker count or
+/// fabric — the repeated-run equality suite asserts exactly that.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    map: HashMap<u64, PruneEval>,
-    #[cfg(debug_assertions)]
-    shadow: HashMap<u64, (usize, Vec<NetId>)>,
+    map: HashMap<u64, Vec<CacheEntry>>,
+    len: usize,
     hits: usize,
+}
+
+/// One stored evaluation with the exact design it measured.
+#[derive(Debug)]
+struct CacheEntry {
+    ctx: usize,
+    set: Vec<NetId>,
+    eval: PruneEval,
 }
 
 impl EvalCache {
@@ -170,33 +183,27 @@ impl EvalCache {
 
     /// Number of distinct evaluations stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// `true` when nothing has been evaluated yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
-    /// A plain lookup. Hit accounting happens in the dedup walk of
+    /// The stored evaluation of `(ctx, set)` under content hash `key`.
+    /// Hit accounting happens in the dedup walk of
     /// [`Evaluator::evaluate_batch`] — the one place that knows whether
-    /// a key was already paid for — not here, so that post-evaluation
-    /// result assembly cannot skew the counters.
-    fn get(&self, key: u64) -> Option<&PruneEval> {
-        self.map.get(&key)
+    /// a design was already paid for — not here, so that
+    /// post-evaluation result assembly cannot skew the counters.
+    fn get(&self, key: u64, ctx: usize, set: &[NetId]) -> Option<&PruneEval> {
+        let bucket = self.map.get(&key)?;
+        bucket.iter().find(|e| e.ctx == ctx && e.set == set).map(|e| &e.eval)
     }
 
-    #[cfg(debug_assertions)]
-    fn check_collision(&mut self, key: u64, ctx: usize, set: &[NetId]) {
-        match self.shadow.get(&key) {
-            Some(seen) => debug_assert!(
-                seen.0 == ctx && seen.1 == set,
-                "evaluation-cache hash collision on key {key:#x}"
-            ),
-            None => {
-                self.shadow.insert(key, (ctx, set.to_vec()));
-            }
-        }
+    fn insert(&mut self, key: u64, ctx: usize, set: Vec<NetId>, eval: PruneEval) {
+        self.map.entry(key).or_default().push(CacheEntry { ctx, set, eval });
+        self.len += 1;
     }
 }
 
@@ -208,32 +215,14 @@ impl EvalCache {
 pub struct Evaluator<'a> {
     lib: &'a Library,
     tech: &'a TechParams,
-    test: &'a Dataset,
-    contexts: Vec<ContextSlot<'a>>,
+    test: Arc<Dataset>,
+    contexts: Vec<ContextSlot>,
     /// The graded coefficient axis backing the lazy slots; `None` for
     /// purely caller-provided evaluators.
     axis: Option<CoeffAxis<'a>>,
-    /// One shared overlay (tape + packed stimulus + cell/delay tables +
-    /// base timing) per context, built lazily on the first overlay-mode
-    /// evaluation — an evaluator pinned to [`EvalMode::Rebuild`] (the
-    /// benchmark baseline) never pays for overlay setup. Construction
-    /// failures (library gaps, malformed stimuli) surface per
-    /// evaluation, mirroring the rebuild path's timing.
-    overlays: Vec<OnceLock<Result<OverlayContext<'a>, StudyError>>>,
-    /// The external pool candidate evaluation rides in
-    /// [`EvalMode::Fabric`]; `None` until [`Evaluator::with_fabric`].
+    /// The external pool fresh evaluations run on; `None` runs them on
+    /// `threads` scoped workers.
     fabric: Option<Arc<dyn EvalFabric>>,
-    /// One *owned* (`'static`) overlay per context for fabric jobs,
-    /// separate from `overlays`: jobs run on worker threads that
-    /// outlive `'a`, so they cannot borrow the study's inputs. Built
-    /// lazily on the first fabric-mode evaluation that touches the
-    /// context, then shared by every job through the `Arc`.
-    fabric_contexts: Vec<OnceLock<Result<Arc<FabricContext>, StudyError>>>,
-    mode: EvalMode,
-    /// Whether overlay-mode workers evaluate through rolling
-    /// [`DeltaSession`]s over lattice-ordered work (the default) or
-    /// fold every candidate from scratch ([`Evaluator::with_delta`]).
-    delta: bool,
     threads: usize,
     /// Evaluator-side phase accounting (the `resolve` slot; the
     /// per-candidate measurement phases accumulate inside each
@@ -242,9 +231,11 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator over the given base circuits. `contexts`
-    /// must be non-empty and hold at most one context per coefficient
-    /// gene.
+    /// Creates an evaluator over the given base circuits, building each
+    /// one's shared overlay from owned copies of its netlist and model.
+    /// `contexts` must be non-empty and hold at most one context per
+    /// coefficient gene. Overlay construction failures (library gaps,
+    /// malformed stimuli) surface per evaluation.
     pub fn new(
         lib: &'a Library,
         tech: &'a TechParams,
@@ -258,20 +249,29 @@ impl<'a> Evaluator<'a> {
                 "one context per coefficient gene"
             );
         }
-        let overlays = contexts.iter().map(|_| OnceLock::new()).collect();
-        let fabric_contexts = contexts.iter().map(|_| OnceLock::new()).collect();
+        let test = Arc::new(test.clone());
+        let contexts = contexts
+            .into_iter()
+            .map(|c| {
+                let shared = SharedContext::new(
+                    c.netlist.clone(),
+                    c.model.clone(),
+                    c.analysis,
+                    &test,
+                    lib,
+                    tech,
+                );
+                ContextSlot { gene: c.coeff, shared: OnceLock::from(Arc::new(shared)) }
+            })
+            .collect();
         let threads = std::thread::available_parallelism().map_or(4, |t| t.get()).min(16);
         Self {
             lib,
             tech,
             test,
-            contexts: contexts.into_iter().map(ContextSlot::Given).collect(),
+            contexts,
             axis: None,
-            overlays,
             fabric: None,
-            fabric_contexts,
-            mode: EvalMode::default(),
-            delta: true,
             threads,
             phases: Phases::new(EVAL_PHASES),
         }
@@ -283,10 +283,9 @@ impl<'a> Evaluator<'a> {
     /// a single-layer model, one context per level). Gene combinations
     /// a caller-provided context already covers are skipped, so the
     /// conventional exact [`EvalContext`] keeps serving the
-    /// [`CoeffGene::exact`] corner. Each lazy context synthesizes and
-    /// analyzes its base circuit only when a candidate (or the search
-    /// space) first touches it; its shared overlay tape is built even
-    /// later, on the first overlay-mode evaluation.
+    /// [`CoeffGene::exact`] corner. Each lazy context synthesizes,
+    /// analyzes and builds the overlay of its base circuit only when a
+    /// candidate (or the search space) first touches it.
     #[must_use]
     pub fn with_coeff_axis(mut self, axis: CoeffAxis<'a>) -> Self {
         assert!(!axis.levels.is_empty(), "coeff axis needs at least one graded level");
@@ -310,12 +309,10 @@ impl<'a> Evaluator<'a> {
             }
         }
         for gene in genes {
-            if self.contexts.iter().any(|c| c.gene() == gene) {
+            if self.contexts.iter().any(|c| c.gene == gene) {
                 continue;
             }
-            self.contexts.push(ContextSlot::Lazy { gene, cell: OnceLock::new() });
-            self.overlays.push(OnceLock::new());
-            self.fabric_contexts.push(OnceLock::new());
+            self.contexts.push(ContextSlot { gene, shared: OnceLock::new() });
         }
         self.axis = Some(axis);
         self
@@ -323,84 +320,39 @@ impl<'a> Evaluator<'a> {
 
     /// Merged per-phase telemetry: the evaluator's own `resolve`
     /// accounting plus every built overlay's fold/masked-sim/score/
-    /// re-time totals. Rebuild-mode evaluations time nothing beyond
-    /// `resolve` (the legacy oracle stays untouched). Pair two
-    /// snapshots with [`PhasesSnapshot::since`] for per-run deltas —
-    /// the [`Engine`](super::Engine) does exactly that.
+    /// re-time totals. Pair two snapshots with
+    /// [`PhasesSnapshot::since`] for per-run deltas — the
+    /// [`Engine`](super::Engine) does exactly that.
     pub fn telemetry(&self) -> PhasesSnapshot {
         let merged = Phases::new(EVAL_PHASES);
         merged.merge(&self.phases);
-        for overlay in &self.overlays {
-            if let Some(Ok(ctx)) = overlay.get() {
-                merged.merge(ctx.phases());
-            }
-        }
-        for fabric_ctx in &self.fabric_contexts {
-            if let Some(Ok(ctx)) = fabric_ctx.get() {
-                merged.merge(ctx.overlay.phases());
-            }
+        for overlay in self.built_overlays() {
+            merged.merge(overlay.phases());
         }
         merged.snapshot()
     }
 
-    /// The shared overlay for context `ctx_idx`, built on first use
-    /// (`OnceLock` keeps concurrent workers from racing the setup).
-    /// Given contexts borrow their base circuit; lazy contexts hand the
-    /// overlay an owned clone of the materialized one (the evaluator
-    /// keeps the original for gate-set resolution and the rebuild
-    /// oracle).
-    fn overlay(&self, ctx_idx: usize) -> &Result<OverlayContext<'a>, StudyError> {
-        self.overlays[ctx_idx].get_or_init(|| match &self.contexts[ctx_idx] {
-            ContextSlot::Given(ctx) => {
-                OverlayContext::new(ctx.netlist, ctx.model, self.test, self.lib, self.tech)
-            }
-            ContextSlot::Lazy { .. } => {
-                let (netlist, model, _) = self.parts(ctx_idx);
-                OverlayContext::new_owned(
-                    netlist.clone(),
-                    model.clone(),
-                    self.test,
-                    self.lib,
-                    self.tech,
-                )
-            }
-        })
-    }
-
-    /// The owned fabric overlay for context `ctx_idx`, built on first
-    /// use from clones of the same inputs [`Evaluator::overlay`] uses.
-    /// `OverlayContext` construction is deterministic (compile the
-    /// tape, pack the stimulus, analyze base timing — no ordering or
-    /// randomness), so evaluating a gate set here is bit-identical to
-    /// evaluating it on the borrowed overlay; the fabric differential
-    /// suite pins that.
-    fn fabric_context(&self, ctx_idx: usize) -> Result<&Arc<FabricContext>, StudyError> {
-        self.fabric_contexts[ctx_idx]
-            .get_or_init(|| {
-                let (netlist, model, analysis) = self.parts(ctx_idx);
-                OverlayContext::new_static(
-                    netlist.clone(),
-                    model.clone(),
-                    self.test.clone(),
-                    self.lib,
-                    self.tech.clone(),
-                )
-                .map(|overlay| Arc::new(FabricContext { overlay, analysis: analysis.clone() }))
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// `(netlist, model, analysis)` of context `ctx_idx`, materializing
-    /// a lazy context on first access.
-    fn parts(&self, ctx_idx: usize) -> (&Netlist, &QuantizedModel, &PruneAnalysis) {
-        match &self.contexts[ctx_idx] {
-            ContextSlot::Given(c) => (c.netlist, c.model, &c.analysis),
-            ContextSlot::Lazy { gene, cell } => {
-                let m = cell.get_or_init(|| self.materialize(*gene));
-                (&m.netlist, &m.model, &m.analysis)
-            }
+    /// Cumulative delta/full fold counters summed over every built
+    /// overlay. The split depends on which pooled session each job
+    /// drew, so it is telemetry — never part of determinism
+    /// comparisons.
+    pub fn delta_stats(&self) -> DeltaFoldStats {
+        let mut stats = DeltaFoldStats::default();
+        for overlay in self.built_overlays() {
+            stats.merge(&overlay.delta_stats());
         }
+        stats
+    }
+
+    fn built_overlays(&self) -> impl Iterator<Item = &OverlayContext> {
+        self.contexts.iter().filter_map(|slot| slot.shared.get()?.overlay.as_ref().ok())
+    }
+
+    /// The shared context of slot `ctx_idx`, materializing a lazy
+    /// context on first access.
+    fn context(&self, ctx_idx: usize) -> &Arc<SharedContext> {
+        let slot = &self.contexts[ctx_idx];
+        slot.shared.get_or_init(|| Arc::new(self.materialize(slot.gene)))
     }
 
     /// Builds the base circuit of `gene` from the coefficient axis:
@@ -408,7 +360,7 @@ impl<'a> Evaluator<'a> {
     /// τ/φ analysis — the same pipeline callers run for their given
     /// contexts, which is what keeps the lazy path bit-identical to
     /// handing the circuit in up front.
-    fn materialize(&self, gene: CoeffGene) -> MaterializedBase {
+    fn materialize(&self, gene: CoeffGene) -> SharedContext {
         let axis = self.axis.as_ref().expect("lazy contexts always carry a coeff axis");
         let widths: Vec<i64> = (0..MAX_COEFF_LAYERS)
             .map(|layer| match gene.level(layer) {
@@ -420,92 +372,42 @@ impl<'a> Evaluator<'a> {
         let netlist =
             pax_synth::opt::optimize(&pax_bespoke::BespokeCircuit::generate(&model).netlist);
         let analysis = crate::prune::analyze(&netlist, &model, axis.train);
-        MaterializedBase { model, netlist, analysis }
+        SharedContext::new(netlist, model, analysis, &self.test, self.lib, self.tech)
     }
 
-    /// Selects how candidates are measured (overlay by default). See
-    /// [`EvalMode`].
-    #[must_use]
-    pub fn with_mode(mut self, mode: EvalMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Attaches an external worker pool and switches to
-    /// [`EvalMode::Fabric`]: every fresh evaluation ships to `fabric`
-    /// as an owned job instead of running on the evaluator's private
-    /// scoped threads. In production the fabric is a `pax-serve` tenant
-    /// handle, which multiplexes study evaluations with live inference
-    /// traffic under that study's queue, budget and metrics.
+    /// Attaches an external worker pool: every fresh evaluation ships
+    /// to `fabric` as an owned job instead of running on the
+    /// evaluator's scoped workers. In production the fabric is a
+    /// `pax-serve` tenant handle, which multiplexes study evaluations
+    /// with live inference traffic under that study's queue, budget and
+    /// metrics.
     #[must_use]
     pub fn with_fabric(mut self, fabric: Arc<dyn EvalFabric>) -> Self {
         self.fabric = Some(fabric);
-        self.mode = EvalMode::Fabric;
         self
     }
 
-    /// Pins the worker-pool width (defaults to the machine's available
-    /// parallelism, capped at 16). Benchmarks pin this so delta and
-    /// baseline paths are compared at one thread count; zero is
-    /// clamped to one.
+    /// Pins the in-process worker count (defaults to the machine's
+    /// available parallelism, capped at 16); zero is clamped to one.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Enables or disables delta evaluation in overlay mode (on by
-    /// default). With delta on, fresh work is sorted along the gate-set
-    /// lattice and each worker evaluates through a rolling
-    /// [`DeltaSession`], so consecutive candidates reuse the previous
-    /// fold and simulation instead of starting over. With delta off,
-    /// every candidate folds and simulates from scratch — the PR 9
-    /// baseline, kept as the benchmark reference and differential
-    /// oracle. Results are bit-identical either way.
-    #[must_use]
-    pub fn with_delta(mut self, delta: bool) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// The active evaluation mode.
-    pub fn mode(&self) -> EvalMode {
-        self.mode
-    }
-
-    /// Cumulative delta/full fold counters summed over every built
-    /// overlay (fabric contexts included). The split depends on how
-    /// workers chunked the batch, so it is telemetry — never part of
-    /// determinism comparisons.
-    pub fn delta_stats(&self) -> DeltaFoldStats {
-        let mut stats = DeltaFoldStats::default();
-        for overlay in &self.overlays {
-            if let Some(Ok(ctx)) = overlay.get() {
-                stats.merge(&ctx.delta_stats());
-            }
-        }
-        for fabric_ctx in &self.fabric_contexts {
-            if let Some(Ok(ctx)) = fabric_ctx.get() {
-                stats.merge(&ctx.overlay.delta_stats());
-            }
-        }
-        stats
-    }
-
     /// The searchable space: τc bounds from the pruning configuration
     /// plus each context's per-gate (τ, φ) metrics, which strategies
     /// use to enumerate or sample thresholds. Strategies need every
     /// context's gate metrics to search it, so this materializes any
-    /// still-lazy coefficient contexts (their overlay tapes stay lazy —
-    /// those are only built when an overlay-mode evaluation lands).
+    /// still-lazy coefficient contexts.
     pub fn space(&self, cfg: &PruneConfig) -> SearchSpace {
         SearchSpace {
             tau_values: cfg.tau_values(),
             contexts: (0..self.contexts.len())
                 .map(|i| {
-                    let (_, _, analysis) = self.parts(i);
+                    let analysis = &self.context(i).analysis;
                     ContextSpace {
-                        gene: self.contexts[i].gene(),
+                        gene: self.contexts[i].gene,
                         gates: analysis
                             .candidates
                             .iter()
@@ -519,28 +421,18 @@ impl<'a> Evaluator<'a> {
 
     /// The coefficient genes the evaluator can serve, in context order.
     pub fn genes(&self) -> Vec<CoeffGene> {
-        self.contexts.iter().map(ContextSlot::gene).collect()
+        self.contexts.iter().map(|c| c.gene).collect()
     }
 
     fn context_index(&self, gene: CoeffGene) -> Result<usize, StudyError> {
-        self.contexts
-            .iter()
-            .position(|c| c.gene() == gene)
-            .ok_or(StudyError::MissingContext { gene })
+        self.contexts.iter().position(|c| c.gene == gene).ok_or(StudyError::MissingContext { gene })
     }
 
     /// The sorted pruned-gate set a candidate selects (the paper's
-    /// step-3 filter: τ-qualified gates whose φ is at most φc).
+    /// step-3 filter, [`PruneAnalysis::select`]).
     pub fn gate_set(&self, c: &Candidate) -> Result<Vec<NetId>, StudyError> {
-        let (_, _, a) = self.parts(self.context_index(c.coeff)?);
-        let mut set: Vec<NetId> = a
-            .candidates
-            .iter()
-            .copied()
-            .filter(|&g| a.tau_of(g) >= c.tau_c - 1e-12 && a.phi_of(g) <= c.phi_c)
-            .collect();
-        set.sort_unstable();
-        Ok(set)
+        let ctx = self.context(self.context_index(c.coeff)?);
+        Ok(ctx.analysis.select(c.tau_c, c.phi_c))
     }
 
     /// Evaluates a batch of candidates, measuring each distinct
@@ -557,49 +449,78 @@ impl<'a> Evaluator<'a> {
         cache: &mut EvalCache,
         max_new_evals: Option<usize>,
     ) -> Result<(Vec<(Candidate, DesignPoint)>, usize), StudyError> {
-        // Resolve genomes to hashed gate sets, collecting the fresh
-        // work while honouring the budget. The per-genome resolution
-        // (τ/φ filter over every prunable gate + content hash) is
-        // independent work, so large batches — the exhaustive grid asks
-        // for thousands of combos at once — resolve across the worker
-        // pool first; the dedup/budget walk below stays sequential
-        // (its prefix semantics are order-dependent).
+        // Resolve genomes to gate sets, then collect the fresh work
+        // while honouring the budget. The dedup/budget walk stays
+        // sequential: its prefix semantics are order-dependent.
         let resolved = self.phases.time(phase::RESOLVE, || self.resolve_sets(batch))?;
-        let mut keys = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<(u64, usize, Vec<NetId>)> = Vec::new();
-        let mut fresh_keys: HashMap<u64, usize> = HashMap::new();
+        let keys: Vec<u64> =
+            resolved.iter().map(|(ctx, set)| context_set_hash(*ctx, set)).collect();
         let budget = max_new_evals.unwrap_or(usize::MAX);
-        for (ctx, set) in resolved {
-            let key = context_set_hash(ctx, &set);
-            #[cfg(debug_assertions)]
-            cache.check_collision(key, ctx, &set);
-            if cache.map.contains_key(&key) || fresh_keys.contains_key(&key) {
+        // Fresh work as indices into `resolved`, bucketed by key for the
+        // in-batch duplicate check.
+        let mut fresh: Vec<usize> = Vec::new();
+        let mut pending: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut taken = 0;
+        for (i, (ctx, set)) in resolved.iter().enumerate() {
+            let key = keys[i];
+            let seen = cache.get(key, *ctx, set).is_some()
+                || pending.get(&key).is_some_and(|b| b.iter().any(|&j| resolved[j] == resolved[i]));
+            if seen {
                 // Already stored, or a duplicate of fresh work earlier
                 // in this batch — either way the evaluation is shared.
                 cache.hits += 1;
-                keys.push(key);
-                continue;
-            }
-            if fresh.len() >= budget {
+            } else if fresh.len() >= budget {
                 break; // budget exhausted: evaluate the prefix only
+            } else {
+                pending.entry(key).or_default().push(i);
+                fresh.push(i);
             }
-            fresh_keys.insert(key, fresh.len());
-            fresh.push((key, ctx, set));
-            keys.push(key);
+            taken += 1;
         }
         let new_evals = fresh.len();
-        for (key, eval) in self.run_parallel(&fresh)? {
-            cache.map.insert(key, eval);
+        for (i, eval) in self.run_fresh(&resolved, fresh)? {
+            let (ctx, set) = &resolved[i];
+            cache.insert(keys[i], *ctx, set.clone(), eval);
         }
-        let results = batch[..keys.len()]
-            .iter()
-            .zip(&keys)
-            .map(|(c, key)| {
-                let e = cache.get(*key).expect("every batch key evaluated");
-                (*c, self.point_for(c, e))
+        let results = (0..taken)
+            .map(|i| {
+                let (ctx, set) = &resolved[i];
+                let e = cache.get(keys[i], *ctx, set).expect("every batch design evaluated");
+                (batch[i], point_for(&batch[i], e))
             })
             .collect();
         Ok((results, new_evals))
+    }
+
+    /// The rebuild oracle over a batch: every candidate re-synthesized,
+    /// recompiled and re-simulated from scratch
+    /// ([`try_evaluate_set_rebuild`]), in order, on the calling thread,
+    /// with no cache. Bit-identical to [`Evaluator::evaluate_batch`];
+    /// the differential suites and the benchmark baselines use it. A
+    /// context whose overlay failed to build reports that error here
+    /// too.
+    pub fn evaluate_rebuild(
+        &self,
+        batch: &[Candidate],
+    ) -> Result<Vec<(Candidate, DesignPoint)>, StudyError> {
+        batch
+            .iter()
+            .map(|c| {
+                let ctx = self.context(self.context_index(c.coeff)?);
+                let overlay = ctx.overlay()?;
+                let set = ctx.analysis.select(c.tau_c, c.phi_c);
+                let e = try_evaluate_set_rebuild(
+                    overlay.base(),
+                    overlay.model(),
+                    &self.test,
+                    self.lib,
+                    self.tech,
+                    &ctx.analysis,
+                    &set,
+                )?;
+                Ok((*c, point_for(c, &e)))
+            })
+            .collect()
     }
 
     /// Resolves every genome's `(context index, sorted gate set)` —
@@ -609,25 +530,15 @@ impl<'a> Evaluator<'a> {
     fn resolve_sets(&self, batch: &[Candidate]) -> Result<Vec<ResolvedSet>, StudyError> {
         /// Below this batch size thread spawns cost more than they save.
         const MIN_PARALLEL_BATCH: usize = 64;
+        let resolve = |c: &Candidate| Ok((self.context_index(c.coeff)?, self.gate_set(c)?));
         if batch.len() < MIN_PARALLEL_BATCH || self.threads <= 1 {
-            return batch
-                .iter()
-                .map(|c| Ok((self.context_index(c.coeff)?, self.gate_set(c)?)))
-                .collect();
+            return batch.iter().map(resolve).collect();
         }
-        let threads = self.threads.min(batch.len());
-        let per = batch.len().div_ceil(threads);
+        let per = batch.len().div_ceil(self.threads.min(batch.len()));
         let chunks: Vec<Result<Vec<ResolvedSet>, StudyError>> = std::thread::scope(|s| {
             let handles: Vec<_> = batch
                 .chunks(per)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|c| Ok((self.context_index(c.coeff)?, self.gate_set(c)?)))
-                            .collect()
-                    })
-                })
+                .map(|chunk| s.spawn(move || chunk.iter().map(resolve).collect()))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("resolver worker")).collect()
         });
@@ -638,124 +549,82 @@ impl<'a> Evaluator<'a> {
         Ok(resolved)
     }
 
-    /// Runs the fresh evaluations over a work-stealing worker pool
-    /// (set sizes — and thus re-synthesis costs — vary wildly, so
-    /// static chunking would leave threads idle). In overlay mode with
-    /// delta evaluation on, the work is first sorted along the gate-set
-    /// lattice — by context, then lexicographically by sorted gate set:
-    /// the order a DFS of the set prefix trie visits, so adjacent items
-    /// share long substitution prefixes — and stolen in small
-    /// contiguous chunks that each worker's rolling [`DeltaSession`]
-    /// evaluates in sequence. Results are keyed, so the reordering
-    /// cannot change the assembled batch.
-    fn run_parallel(
+    /// Evaluates the `fresh` entries of `resolved`, returning
+    /// `(index, evaluation)` pairs in completion order.
+    ///
+    /// The work is sorted along the gate-set lattice — by context, then
+    /// lexicographically by sorted gate set: the order a DFS of the set
+    /// prefix trie visits, so adjacent items share long substitution
+    /// prefixes — and becomes one `'static` job per candidate, which
+    /// runs on a pooled [`DeltaSession`] of its context. Without a
+    /// fabric the jobs run on `threads` scoped workers; with one they
+    /// are submitted to it. After the first error a shared flag makes
+    /// every job still queued skip its work. A job dropped unrun (its
+    /// tenant unregistered, or the pool torn down mid-batch) never
+    /// sends, so the channel closes short and the batch fails with
+    /// [`FabricError::Cancelled`] instead of hanging. Results are
+    /// keyed, so neither the reordering nor the scheduling can change
+    /// the assembled batch.
+    fn run_fresh(
         &self,
-        fresh: &[(u64, usize, Vec<NetId>)],
-    ) -> Result<Vec<(u64, PruneEval)>, StudyError> {
+        resolved: &[ResolvedSet],
+        mut fresh: Vec<usize>,
+    ) -> Result<Vec<(usize, PruneEval)>, StudyError> {
         if fresh.is_empty() {
             return Ok(Vec::new());
         }
-        if self.mode == EvalMode::Fabric {
-            return self.run_fabric(fresh);
-        }
-        let use_delta = self.delta && self.mode == EvalMode::Overlay;
-        let mut order: Vec<usize> = (0..fresh.len()).collect();
-        let chunk = if use_delta {
-            order.sort_unstable_by(|&x, &y| {
-                (fresh[x].1, &fresh[x].2).cmp(&(fresh[y].1, &fresh[y].2))
-            });
-            // Contiguous chunks big enough that a session amortizes
-            // across lattice neighbours, small enough that the pool
-            // stays balanced on modest batches.
-            (fresh.len() / (self.threads * 4)).clamp(1, 32)
-        } else {
-            1
-        };
-        let n_chunks = order.len().div_ceil(chunk);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // First error aborts the whole batch: without the shared flag,
-        // the other workers would drain every remaining (expensive)
-        // evaluation before the error could propagate.
-        let abort = std::sync::atomic::AtomicBool::new(false);
-        let threads = self.threads.min(n_chunks);
-        let (tx, rx) = std::sync::mpsc::channel::<Result<(u64, PruneEval), StudyError>>();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let next = &next;
-                let abort = &abort;
-                let order = &order;
-                let tx = tx.clone();
-                s.spawn(move || {
-                    // context → rolling session, most recent first.
-                    let mut sessions: Vec<(usize, DeltaSession)> = Vec::new();
-                    'steal: loop {
-                        let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if c >= n_chunks || abort.load(std::sync::atomic::Ordering::Relaxed) {
-                            break;
-                        }
-                        for &i in &order[c * chunk..((c + 1) * chunk).min(order.len())] {
-                            if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                                break 'steal;
+        fresh.sort_unstable_by(|&x, &y| resolved[x].cmp(&resolved[y]));
+        let abort = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel::<Result<(usize, PruneEval), StudyError>>();
+        let jobs: Vec<FabricJob> = fresh
+            .iter()
+            .map(|&i| {
+                let (ctx_idx, set) = &resolved[i];
+                let ctx = Arc::clone(self.context(*ctx_idx));
+                let (set, tx, abort) = (set.clone(), tx.clone(), Arc::clone(&abort));
+                Box::new(move || {
+                    if abort.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let r = ctx.evaluate(&set);
+                    if r.is_err() {
+                        abort.store(true, Ordering::Relaxed);
+                    }
+                    // The receiver is gone when the driving thread already
+                    // bailed on an earlier error; nothing left to report.
+                    let _ = tx.send(r.map(|e| (i, e)));
+                }) as FabricJob
+            })
+            .collect();
+        drop(tx);
+        match &self.fabric {
+            Some(fabric) => {
+                for job in jobs {
+                    if let Err(e) = fabric.submit(job) {
+                        abort.store(true, Ordering::Relaxed);
+                        return Err(StudyError::Fabric(e));
+                    }
+                }
+            }
+            None => {
+                // Workers take short runs of consecutive jobs, so the
+                // session a worker pops is mostly the one it just pushed,
+                // one lattice step back.
+                let run = (jobs.len() / (self.threads * 4)).clamp(1, 32);
+                let queue = Mutex::new(jobs.into_iter());
+                std::thread::scope(|s| {
+                    for _ in 0..self.threads.min(fresh.len()) {
+                        s.spawn(|| loop {
+                            let jobs: Vec<FabricJob> = queue.lock().by_ref().take(run).collect();
+                            if jobs.is_empty() {
+                                break;
                             }
-                            let (key, ctx_idx, set) = &fresh[i];
-                            let (netlist, model, analysis) = self.parts(*ctx_idx);
-                            let r = match self.mode {
-                                EvalMode::Overlay => match self.overlay(*ctx_idx) {
-                                    Ok(overlay) if use_delta => {
-                                        let session = session_for(&mut sessions, *ctx_idx, overlay);
-                                        overlay.evaluate_with_session(analysis, set, session)
-                                    }
-                                    Ok(overlay) => overlay.evaluate(analysis, set),
-                                    Err(e) => Err(e.clone()),
-                                },
-                                EvalMode::Rebuild => crate::prune::try_evaluate_set_rebuild(
-                                    netlist, model, self.test, self.lib, self.tech, analysis, set,
-                                ),
-                                EvalMode::Fabric => {
-                                    unreachable!("fabric batches run in run_fabric")
-                                }
-                            };
-                            let stop = r.is_err();
-                            if stop {
-                                abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                            }
-                            tx.send(r.map(|e| (*key, e))).expect("receiver outlives workers");
-                            if stop {
-                                break 'steal;
-                            }
-                        }
+                            jobs.into_iter().for_each(|job| job());
+                        });
                     }
                 });
             }
-            drop(tx);
-            rx.iter().collect()
-        })
-    }
-
-    /// Ships the fresh evaluations to the attached [`EvalFabric`] as
-    /// owned jobs — one per distinct `(context, gate set)` — and
-    /// collects their results over a channel. A job dropped unrun (its
-    /// tenant unregistered, or the pool torn down mid-batch) never
-    /// sends, so the channel closes short and the batch fails with
-    /// [`FabricError::Cancelled`] instead of hanging.
-    fn run_fabric(
-        &self,
-        fresh: &[(u64, usize, Vec<NetId>)],
-    ) -> Result<Vec<(u64, PruneEval)>, StudyError> {
-        let fabric = self.fabric.as_ref().ok_or(StudyError::Fabric(FabricError::NotAttached))?;
-        let (tx, rx) = std::sync::mpsc::channel::<Result<(u64, PruneEval), StudyError>>();
-        for (key, ctx_idx, set) in fresh {
-            let shared = Arc::clone(self.fabric_context(*ctx_idx)?);
-            let (key, set, tx) = (*key, set.clone(), tx.clone());
-            let job = Box::new(move || {
-                let r = shared.overlay.evaluate(&shared.analysis, &set).map(|e| (key, e));
-                // The receiver is gone when the driving thread already
-                // bailed on an earlier error; nothing left to report.
-                let _ = tx.send(r);
-            });
-            fabric.submit(job).map_err(StudyError::Fabric)?;
         }
-        drop(tx);
         let mut out = Vec::with_capacity(fresh.len());
         for r in rx {
             out.push(r?);
@@ -765,58 +634,59 @@ impl<'a> Evaluator<'a> {
         }
         Ok(out)
     }
-
-    fn point_for(&self, c: &Candidate, e: &PruneEval) -> DesignPoint {
-        DesignPoint {
-            technique: if c.coeff.is_exact() { Technique::PruneOnly } else { Technique::Cross },
-            tau_c: Some(c.tau_c),
-            phi_c: Some(c.phi_c),
-            coeff: (!c.coeff.is_exact()).then_some(c.coeff),
-            accuracy: e.accuracy,
-            area_mm2: e.area_mm2,
-            power_mw: e.power_mw,
-            gate_count: e.gate_count,
-            critical_ms: e.critical_ms,
-        }
-    }
 }
 
-/// The owned evaluation state one context ships to fabric workers: a
-/// `'static` overlay (owned clones of the base netlist, model, test
-/// set and technology parameters) plus the pruning analysis the τ/φ
-/// mask resolution reads. Everything a job touches lives behind one
-/// `Arc`, so jobs are `'static` and the pool can run them on threads
-/// that outlive the study's stack frame.
-#[derive(Debug)]
-struct FabricContext {
-    overlay: OverlayContext<'static>,
-    analysis: PruneAnalysis,
+fn point_for(c: &Candidate, e: &PruneEval) -> DesignPoint {
+    DesignPoint {
+        technique: if c.coeff.is_exact() { Technique::PruneOnly } else { Technique::Cross },
+        tau_c: Some(c.tau_c),
+        phi_c: Some(c.phi_c),
+        coeff: (!c.coeff.is_exact()).then_some(c.coeff),
+        accuracy: e.accuracy,
+        area_mm2: e.area_mm2,
+        power_mw: e.power_mw,
+        gate_count: e.gate_count,
+        critical_ms: e.critical_ms,
+    }
 }
 
 /// One resolved genome: `(context index, sorted pruned-gate set)`.
 type ResolvedSet = (usize, Vec<NetId>);
 
-/// The worker's rolling session for `ctx_idx`, moved to the front of a
-/// two-slot LRU — created fresh from `overlay` on a miss, evicting the
-/// colder slot. Two slots suffice: the lattice sort keeps each chunk
-/// within one context, so a worker interleaves at most the chunk
-/// boundary's pair.
-fn session_for<'s>(
-    sessions: &'s mut Vec<(usize, DeltaSession)>,
-    ctx_idx: usize,
-    overlay: &OverlayContext<'_>,
-) -> &'s mut DeltaSession {
-    if let Some(p) = sessions.iter().position(|(c, _)| *c == ctx_idx) {
-        let hot = sessions.remove(p);
-        sessions.insert(0, hot);
-    } else {
-        sessions.insert(0, (ctx_idx, overlay.delta_session()));
-        sessions.truncate(2);
-    }
-    &mut sessions[0].1
-}
-
 /// Cache key: the gate-set content hash salted with the context index.
 fn context_set_hash(ctx: usize, set: &[NetId]) -> u64 {
     crate::prune::gate_set_hash(set) ^ (ctx as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn eval(accuracy: f64) -> PruneEval {
+        PruneEval {
+            area_mm2: 1.0,
+            power_mw: 1.0,
+            accuracy,
+            gate_count: 1,
+            critical_ms: 1.0,
+            n_pruned: 1,
+        }
+    }
+
+    #[test]
+    fn cache_tells_colliding_designs_apart() {
+        let a = vec![NetId::from_index(3)];
+        let b = vec![NetId::from_index(5), NetId::from_index(7)];
+        let mut cache = EvalCache::new();
+        // Two different designs forced under one content hash.
+        cache.insert(42, 0, a.clone(), eval(0.25));
+        assert!(cache.get(42, 0, &b).is_none(), "a colliding key must not answer for b");
+        cache.insert(42, 0, b.clone(), eval(0.75));
+        cache.insert(42, 1, a.clone(), eval(0.5));
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.get(42, 0, &a).map(|e| e.accuracy), Some(0.25));
+        assert_eq!(cache.get(42, 0, &b).map(|e| e.accuracy), Some(0.75));
+        assert_eq!(cache.get(42, 1, &a).map(|e| e.accuracy), Some(0.5));
+        assert!(cache.get(7, 0, &a).is_none());
+    }
 }

@@ -11,10 +11,11 @@
 //! every fresh evaluation through whatever implementation it is given.
 //!
 //! A [`FabricJob`] is a fully-owned unit of work — the evaluator ships
-//! each candidate as a closure over an `Arc`'d owned overlay context
-//! (a compiled tape + a packed stimulus), so jobs are `'static` and the
+//! each candidate as a closure over an `Arc`'d owned context (overlay,
+//! pruning analysis and session pool), so jobs are `'static` and the
 //! pool's long-lived worker threads can run them without borrowing the
-//! study's stack. Completion is signalled by the job itself (the
+//! study's stack. The evaluator's own scoped workers run the very same
+//! jobs when no fabric is attached. Completion is signalled by the job itself (the
 //! evaluator's jobs send their result over a channel); a dropped,
 //! never-run job therefore surfaces as a closed channel, which the
 //! evaluator reports as [`FabricError::Cancelled`] instead of hanging.
@@ -36,9 +37,6 @@ pub enum FabricError {
         /// The budget that was configured (in jobs).
         budget: u64,
     },
-    /// The evaluator was put in fabric mode without attaching a fabric
-    /// (see [`Evaluator::with_fabric`](super::Evaluator::with_fabric)).
-    NotAttached,
 }
 
 impl std::fmt::Display for FabricError {
@@ -48,9 +46,6 @@ impl std::fmt::Display for FabricError {
             FabricError::Cancelled => write!(f, "fabric dropped queued jobs (tenant torn down)"),
             FabricError::BudgetExhausted { budget } => {
                 write!(f, "tenant budget of {budget} jobs is exhausted")
-            }
-            FabricError::NotAttached => {
-                write!(f, "evaluator is in fabric mode but no fabric is attached")
             }
         }
     }
@@ -90,7 +85,6 @@ mod tests {
         assert!(FabricError::Shutdown.to_string().contains("shutting down"));
         assert!(FabricError::Cancelled.to_string().contains("dropped"));
         assert!(FabricError::BudgetExhausted { budget: 7 }.to_string().contains('7'));
-        assert!(FabricError::NotAttached.to_string().contains("no fabric"));
     }
 
     #[test]

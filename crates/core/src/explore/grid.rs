@@ -9,7 +9,7 @@ use crate::DesignPoint;
 /// paper's Φτ acceleration) — for each base circuit in the space.
 ///
 /// Through the engine this reproduces `enumerate_grid` +
-/// `evaluate_grid` exactly: same candidates, same order, one
+/// the rebuild oracle exactly: same candidates, same order, one
 /// evaluation per distinct pruned-gate set (the engine's cache takes
 /// the role of the grid's dedup map).
 #[derive(Debug, Default)]

@@ -14,14 +14,15 @@
 //!   fresh evaluations);
 //! * [`Evaluator`] — maps candidates to measured [`DesignPoint`]s,
 //!   reusing one compiled tape + pruning analysis per base circuit and
-//!   evaluating distinct prunings in parallel across a worker pool;
-//! * [`EvalCache`] — content-hashed memoization, so duplicate
+//!   evaluating distinct prunings in parallel through pooled delta
+//!   sessions;
+//! * [`EvalCache`] — content-keyed memoization, so duplicate
 //!   pruned-gate sets are measured once, within *and across*
 //!   strategies sharing one engine;
 //! * [`EvalFabric`] — the seam to an external worker pool: attach one
 //!   with [`Evaluator::with_fabric`] and fresh evaluations ship as
-//!   owned batch jobs to (e.g.) the `pax-serve` engine instead of the
-//!   evaluator's private thread pool, multiplexing design-space search
+//!   owned jobs to (e.g.) the `pax-serve` engine instead of the
+//!   evaluator's scoped workers, multiplexing design-space search
 //!   with live serving traffic;
 //! * [`ObjectiveSet`] — the configurable N-dimensional objective space
 //!   (any subset of accuracy ↑ / area ↓ / power ↓ / delay ↓, with
@@ -72,7 +73,7 @@ mod nsga2;
 mod objective;
 
 pub use archive::{HypervolumeError, ParetoArchive};
-pub use evaluator::{CoeffAxis, EvalCache, EvalContext, EvalMode, Evaluator};
+pub use evaluator::{CoeffAxis, EvalCache, EvalContext, Evaluator};
 pub use fabric::{EvalFabric, FabricError, FabricJob};
 pub use grid::ExhaustiveGrid;
 pub use nsga2::{resolve_seed, Nsga2, Nsga2Config};

@@ -665,13 +665,7 @@ impl Framework {
                         &computed
                     }
                 };
-                let set: Vec<pax_netlist::NetId> = analysis
-                    .candidates
-                    .iter()
-                    .copied()
-                    .filter(|&g| analysis.tau_of(g) >= tau_c - 1e-12 && analysis.phi_of(g) <= phi_c)
-                    .collect();
-                apply_set(&netlist, analysis, &set)
+                apply_set(&netlist, analysis, &analysis.select(tau_c, phi_c))
             }
             _ => netlist,
         };
@@ -695,8 +689,7 @@ impl Framework {
     /// analyze the base circuit once, then let the configured strategy
     /// search its `(τc, φc)` space under the configured objective set.
     /// With [`StrategyConfig::Exhaustive`] this reproduces the
-    /// pre-engine `enumerate_grid` + `evaluate_grid` sweep point for
-    /// point.
+    /// paper's `enumerate_grid` sweep point for point.
     #[allow(clippy::too_many_arguments)]
     fn explore_series(
         &self,
@@ -980,7 +973,7 @@ mod tests {
     #[test]
     fn exhaustive_engine_matches_legacy_grid_sweep() {
         // Golden reproduction: the engine-driven default study must
-        // equal the pre-refactor enumerate_grid + evaluate_grid flow.
+        // equal the enumerated grid measured by the rebuild oracle.
         let data = blobs("legacy", 230, 3, 3, 0.09, 91);
         let (train, test) = data.split(0.7, 1);
         let (train, test) = pax_ml::normalize(&train, &test);
@@ -995,15 +988,22 @@ mod tests {
         };
         let analysis = analyze(&circuit.netlist, &q, &train);
         let grid = crate::prune::enumerate_grid(&analysis, &fw.config().prune);
-        let evals = crate::prune::evaluate_grid(
-            &circuit.netlist,
-            &q,
-            &test,
-            fw.library(),
-            &fw.config().tech,
-            &analysis,
-            &grid,
-        );
+        let evals: Vec<_> = grid
+            .sets
+            .iter()
+            .map(|set| {
+                crate::prune::try_evaluate_set_rebuild(
+                    &circuit.netlist,
+                    &q,
+                    &test,
+                    fw.library(),
+                    &fw.config().tech,
+                    &analysis,
+                    set,
+                )
+                .unwrap()
+            })
+            .collect();
         let legacy: Vec<DesignPoint> = grid
             .combos
             .iter()

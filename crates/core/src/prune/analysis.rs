@@ -32,6 +32,19 @@ impl PruneAnalysis {
     pub fn phi_of(&self, net: NetId) -> i64 {
         self.phi[net.index()]
     }
+
+    /// The paper's step-3 filter: the prunable gates whose τ meets
+    /// `tau_c` and whose φ is at most `phi_c`, sorted by net id.
+    pub fn select(&self, tau_c: f64, phi_c: i64) -> Vec<NetId> {
+        let mut set: Vec<NetId> = self
+            .candidates
+            .iter()
+            .copied()
+            .filter(|&g| self.tau_of(g) >= tau_c - 1e-12 && self.phi_of(g) <= phi_c)
+            .collect();
+        set.sort_unstable();
+        set
+    }
 }
 
 /// Runs the paper's pruning steps 1–3 prerequisites: simulate the

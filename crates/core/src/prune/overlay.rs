@@ -1,6 +1,6 @@
 //! Overlay-based incremental candidate evaluation.
 //!
-//! The legacy pipeline rebuilds every pruning candidate from scratch:
+//! The rebuild pipeline rebuilds every pruning candidate from scratch:
 //! `apply_set` re-synthesizes the netlist, `CompiledNetlist::compile`
 //! builds a fresh tape, the full test set is re-quantized, re-packed
 //! and re-simulated, and area/power/STA walk the new netlist. For the
@@ -8,25 +8,22 @@
 //! per-candidate setup dominates the exploration wall-clock.
 //!
 //! [`OverlayContext`] amortizes everything that does not actually
-//! depend on the candidate:
+//! depend on the candidate, and a [`DeltaSession`] carries what the
+//! previous candidate left behind:
 //!
-//! * the **base tape** is compiled once and executed per candidate with
-//!   a [prune mask](pax_sim::CompiledNetlist::run_masked) — pruned
-//!   gates skip to their dominant constant via two reserved constant
-//!   slots (or pure truth-table transforms where fusion collapsed the
-//!   gate into a LUT cone), so downstream logic behaves exactly as if
-//!   the netlist had been rebuilt. The functional run executes the
-//!   *fused* tape; switching activity comes from an incremental delta
-//!   over a recorded unfused [`BaseTrace`](pax_sim::BaseTrace) — only
-//!   instructions in the pruned set's transitive fanout re-execute,
-//!   and the result is bit-identical to a full tracked masked run;
-//! * the **test stimulus** is quantized and bit-packed once
-//!   ([`PackedStimulus`]);
+//! * the **base tape** is compiled once, and one unfused run of the
+//!   test stimulus is recorded as a [`BaseTrace`](pax_sim::BaseTrace).
+//!   Each session rolls a [`DeltaSim`] over that trace: pruned gates
+//!   pin to their dominant constant via two reserved constant slots,
+//!   and only the slots downstream of the change since the session's
+//!   last mask re-execute. Outputs and switching activity are
+//!   bit-identical to a full masked run of the rebuilt netlist;
 //! * the candidate's **surviving structure** comes from the symbolic
-//!   fold ([`FoldedCircuit`]) — node-for-node the netlist
-//!   `apply_set` would have built, without building it — so the
-//!   area/power walks add the very same cell figures in the very same
-//!   order;
+//!   fold ([`FoldedCircuit`]) — node-for-node the netlist `apply_set`
+//!   would have built, without building it — replayed by the session's
+//!   [`Refolder`] from the first substitution that differs from its
+//!   last fold. The area/power walks add the very same cell figures in
+//!   the very same order;
 //! * switching activity maps from masked base slots onto surviving
 //!   gates through the fold's [`Provenance`] (inversion preserves
 //!   toggle counts exactly);
@@ -35,17 +32,20 @@
 //!   [`pax_sta::DelayTable`]; every other gate reuses the base
 //!   circuit's arrival time.
 //!
+//! A new session has no history, so its first evaluation is a fresh
+//! fold and a full cone re-execution.
 //! The result is **bit-for-bit identical** to the rebuild pipeline on
-//! all four measured axes (accuracy, area, power, delay) — pinned by
-//! the differential property suite in
-//! `crates/core/tests/proptest_overlay.rs` and by the golden cardio
-//! svm-r design point. The rebuild pipeline itself stays in
-//! `search.rs` as that suite's oracle.
+//! all four measured axes (accuracy, area, power, delay), whatever the
+//! session evaluated before — pinned by the differential property
+//! suite in `crates/core/tests/proptest_overlay.rs` and by the golden
+//! cardio svm-r design point. The rebuild pipeline itself stays in
+//! `search.rs` as that suite's oracle
+//! ([`try_evaluate_set_rebuild`](super::try_evaluate_set_rebuild)).
 //!
 //! [`Provenance`]: pax_netlist::fold::Provenance
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use egt_pdk::{Library, PdkError, TechParams};
 use pax_bespoke::{score_outputs, stimulus_for};
@@ -56,7 +56,7 @@ use pax_netlist::traverse::Fanout;
 use pax_netlist::{GateKind, NetId, Netlist};
 use pax_obs::Phases;
 use pax_sim::power::PowerReport;
-use pax_sim::{Activity, BaseTrace, CompiledNetlist, DeltaSim, PackedStimulus};
+use pax_sim::{Activity, BaseTrace, CompiledNetlist, DeltaSim};
 use pax_sta::DelayTable;
 
 use super::{PruneAnalysis, PruneEval};
@@ -126,27 +126,26 @@ impl CellTable {
 }
 
 /// Everything candidate evaluation shares across one base circuit:
-/// the compiled tape, the packed test stimulus, resolved cell figures,
-/// the base timing profile and the fanout table the affected-cone
-/// analysis walks. Build once per `(base circuit, test set)` pair; then
-/// [`evaluate`](Self::evaluate) any number of pruned-gate sets without
+/// the base netlist and model, the compiled tape with its recorded base
+/// run, resolved cell figures, the base timing profile and the fanout
+/// table the affected-cone analysis walks. Build once per
+/// `(base circuit, test set)` pair; then [`evaluate`](Self::evaluate)
+/// any number of pruned-gate sets through [`DeltaSession`]s without
 /// re-synthesis or recompilation.
+///
+/// The context owns all of its inputs (the test set behind an `Arc`,
+/// so many contexts share one copy) and is `'static`: evaluation jobs
+/// can hold it on worker threads that outlive the caller's stack.
 #[derive(Debug)]
-pub struct OverlayContext<'a> {
-    /// The base circuit — borrowed for caller-provided contexts
-    /// ([`OverlayContext::new`]), owned for lazily materialized
-    /// coefficient-level contexts ([`OverlayContext::new_owned`]) and
-    /// for fabric-shipped contexts ([`OverlayContext::new_static`]).
-    base: Cow<'a, Netlist>,
-    model: Cow<'a, QuantizedModel>,
-    test: Cow<'a, Dataset>,
-    tech: Cow<'a, TechParams>,
+pub struct OverlayContext {
+    base: Netlist,
+    model: QuantizedModel,
+    test: Arc<Dataset>,
+    tech: TechParams,
     tape: CompiledNetlist,
-    packed: PackedStimulus,
     /// One recorded unfused run of the base tape on the packed test
-    /// set: per-word slot values plus base activity. Masked activity is
-    /// re-derived from it incrementally instead of re-executing the
-    /// whole tracked tape per candidate.
+    /// set: per-word slot values plus base activity. Every session's
+    /// rolling simulation starts from it.
     trace: BaseTrace,
     cells: CellTable,
     delays: DelayTable,
@@ -157,11 +156,10 @@ pub struct OverlayContext<'a> {
     /// Per-phase wall-time accounting across every `evaluate` call on
     /// this context (lock-free; workers record concurrently).
     phases: Phases,
-    /// Folds that resumed a cached parent replay
-    /// ([`evaluate_with_session`](Self::evaluate_with_session) hits).
+    /// Folds that resumed a session's cached parent replay.
     delta_folds: AtomicU64,
-    /// Folds that ran from scratch (fresh sessions, profitability
-    /// fallbacks, and every plain [`evaluate`](Self::evaluate) call).
+    /// Folds that ran from scratch (new sessions and profitability
+    /// fallbacks).
     full_folds: AtomicU64,
     /// Total substitution-delta nets across the delta folds (mean delta
     /// size = `delta_nets / delta_folds`).
@@ -213,13 +211,12 @@ impl DeltaFoldStats {
     }
 }
 
-/// One worker's rolling delta-evaluation state against a single
+/// One worker's rolling evaluation state against a single
 /// [`OverlayContext`]: a rewindable fold replay ([`Refolder`]) plus a
 /// rolling masked simulation ([`DeltaSim`]), both keyed to the last
 /// evaluated mask. Create via [`OverlayContext::delta_session`], feed
-/// to [`OverlayContext::evaluate_with_session`]; results are
-/// bit-identical to [`OverlayContext::evaluate`] regardless of the
-/// session's history.
+/// to [`OverlayContext::evaluate`]; results are bit-identical to the
+/// rebuild pipeline regardless of the session's history.
 #[derive(Debug)]
 pub struct DeltaSession {
     refolder: Refolder,
@@ -229,9 +226,9 @@ pub struct DeltaSession {
     last_mask: Vec<(NetId, bool)>,
 }
 
-impl<'a> OverlayContext<'a> {
-    /// Compiles the shared tape, packs the test stimulus and profiles
-    /// the base circuit's timing.
+impl OverlayContext {
+    /// Compiles the shared tape, records the base run of the test
+    /// stimulus and profiles the base circuit's timing.
     ///
     /// # Errors
     ///
@@ -244,79 +241,14 @@ impl<'a> OverlayContext<'a> {
     /// Panics if the dataset's feature count differs from the model's
     /// (a caller bug, exactly like the rebuild path).
     pub fn new(
-        base: &'a Netlist,
-        model: &'a QuantizedModel,
-        test: &'a Dataset,
-        lib: &'a Library,
-        tech: &'a TechParams,
-    ) -> Result<Self, StudyError> {
-        Self::from_parts(
-            Cow::Borrowed(base),
-            Cow::Borrowed(model),
-            Cow::Borrowed(test),
-            lib,
-            Cow::Borrowed(tech),
-        )
-    }
-
-    /// [`OverlayContext::new`] over an owned base circuit and model —
-    /// the form lazily materialized coefficient-level contexts use,
-    /// where the netlist is synthesized inside the evaluator and has no
-    /// external owner to borrow from. Evaluation is bit-identical to
-    /// the borrowed form.
-    pub fn new_owned(
         base: Netlist,
         model: QuantizedModel,
-        test: &'a Dataset,
-        lib: &'a Library,
-        tech: &'a TechParams,
-    ) -> Result<Self, StudyError> {
-        Self::from_parts(
-            Cow::Owned(base),
-            Cow::Owned(model),
-            Cow::Borrowed(test),
-            lib,
-            Cow::Borrowed(tech),
-        )
-    }
-
-    /// A fully-owned context that borrows nothing: the form evaluation
-    /// jobs ship to an external worker pool
-    /// ([`EvalFabric`](crate::explore::EvalFabric)), whose long-lived
-    /// threads cannot borrow from the submitting study's stack. The
-    /// library is consumed into the context's cell/delay tables (as in
-    /// every other constructor), so only the netlist, model, test set
-    /// and tech point need owning. Evaluation is bit-identical to the
-    /// borrowed forms — construction runs the very same code path.
-    pub fn new_static(
-        base: Netlist,
-        model: QuantizedModel,
-        test: Dataset,
+        test: Arc<Dataset>,
         lib: &Library,
         tech: TechParams,
-    ) -> Result<OverlayContext<'static>, StudyError> {
-        OverlayContext::from_parts(
-            Cow::Owned(base),
-            Cow::Owned(model),
-            Cow::Owned(test),
-            lib,
-            Cow::Owned(tech),
-        )
-    }
-
-    fn from_parts(
-        base: Cow<'a, Netlist>,
-        model: Cow<'a, QuantizedModel>,
-        test: Cow<'a, Dataset>,
-        lib: &Library,
-        tech: Cow<'a, TechParams>,
     ) -> Result<Self, StudyError> {
-        // Single-threaded tape by default: evaluation runs inside an
-        // already-saturated worker pool, so nested word-parallelism
-        // would only oversubscribe the cores.
-        let tape = CompiledNetlist::compile(&base).with_threads(1);
-        let packed = tape.pack(&stimulus_for(&model, &test))?;
-        let trace = tape.trace(&packed);
+        let tape = CompiledNetlist::compile(&base);
+        let trace = tape.trace(&tape.pack(&stimulus_for(&model, &test))?);
         let base_arrival = pax_sta::analyze(&base, lib, &tech)?.arrival_ms;
         let fanout = Fanout::build(&base);
         Ok(Self {
@@ -325,7 +257,6 @@ impl<'a> OverlayContext<'a> {
             test,
             tech,
             tape,
-            packed,
             trace,
             cells: CellTable::new(lib),
             delays: DelayTable::new(lib),
@@ -338,18 +269,14 @@ impl<'a> OverlayContext<'a> {
         })
     }
 
-    /// Re-pins the shared tape's worker-thread count (`0` = automatic).
-    /// Results are bit-identical regardless — the thread-invariance
-    /// property tests run the same candidates at several counts.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.tape = self.tape.with_threads(threads);
-        self
-    }
-
     /// The base netlist this context evaluates prunings of.
     pub fn base(&self) -> &Netlist {
         &self.base
+    }
+
+    /// The model the base netlist hardwires.
+    pub fn model(&self) -> &QuantizedModel {
+        &self.model
     }
 
     /// The per-phase timing accumulators this context has gathered
@@ -358,56 +285,17 @@ impl<'a> OverlayContext<'a> {
         &self.phases
     }
 
-    /// Evaluates one pruned-gate set as an overlay on the shared tape:
-    /// masked simulation for accuracy and switching activity, symbolic
-    /// fold for the surviving structure, incremental re-timing for the
-    /// critical path. Bit-identical to the rebuild pipeline
-    /// (`try_evaluate_set_rebuild`) on every [`PruneEval`] field.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StudyError::Library`] when the library lacks a cell a
-    /// surviving gate needs — the same condition the rebuild path
-    /// reports.
-    pub fn evaluate(
-        &self,
-        analysis: &PruneAnalysis,
-        set: &[NetId],
-    ) -> Result<PruneEval, StudyError> {
-        // `set` is sorted, so the (net, dominant) pairs are too.
-        let mask: Vec<(NetId, bool)> = set.iter().map(|&g| (g, analysis.dominant(g))).collect();
-        let affected = self.affected_cone(set);
-
-        // Masked execution of the shared tape: the pruned gates' slots
-        // stream their dominant constants, everything downstream reacts
-        // exactly as the rebuilt netlist would. Functional outputs run
-        // the fused tape; exact switching activity is re-derived from
-        // the base trace by re-executing only the affected cone.
-        let (sim, activity) = self.phases.time(phase::MASKED_SIM, || {
-            let sim = self.tape.run_masked(&self.packed, &mask);
-            let activity = self.tape.masked_activity(&self.trace, &mask, &affected);
-            (sim, activity)
-        });
-        let (accuracy, _) =
-            self.phases.time(phase::SCORE, || score_outputs(&self.model, &self.test, &sim));
-
-        // The surviving structure — node-for-node what `apply_set`
-        // would rebuild.
-        let folded =
-            self.phases.time(phase::FOLD, || FoldedCircuit::apply_sorted(&self.base, &mask));
-        self.full_folds.fetch_add(1, Ordering::Relaxed);
-
-        self.survivor_walk(set.len(), &affected, accuracy, &activity, &folded)
-    }
-
-    /// [`evaluate`](Self::evaluate) through a rolling [`DeltaSession`]:
-    /// the fold resumes the session's cached replay from the first
-    /// divergent substitution and the masked simulation re-executes
-    /// only the slots downstream of the mask's symmetric difference.
-    /// Results are bit-identical to [`evaluate`](Self::evaluate) — and
-    /// therefore to the rebuild pipeline — on every [`PruneEval`]
+    /// Evaluates one sorted pruned-gate set through `session`: the
+    /// rolling simulation re-executes only the slots downstream of the
+    /// mask's symmetric difference to the session's last mask (giving
+    /// accuracy and switching activity), the fold resumes the
+    /// session's cached replay from the first divergent substitution
+    /// (giving the surviving structure), and the critical path is
+    /// re-timed in the affected cone only. Bit-identical to the rebuild
+    /// pipeline (`try_evaluate_set_rebuild`) on every [`PruneEval`]
     /// field, regardless of what the session evaluated before (pinned
-    /// by the session-chain differential tests).
+    /// by the session-chain differential tests). A new session is a
+    /// fresh evaluation.
     ///
     /// When the symmetric difference exceeds `|set| + 2` a rewound
     /// replay would re-do more work than a fresh fold, so the refolder
@@ -418,9 +306,9 @@ impl<'a> OverlayContext<'a> {
     /// # Errors
     ///
     /// Returns [`StudyError::Library`] when the library lacks a cell a
-    /// surviving gate needs — the same condition
-    /// [`evaluate`](Self::evaluate) reports.
-    pub fn evaluate_with_session(
+    /// surviving gate needs — the same condition the rebuild path
+    /// reports.
+    pub fn evaluate(
         &self,
         analysis: &PruneAnalysis,
         set: &[NetId],
@@ -460,8 +348,8 @@ impl<'a> OverlayContext<'a> {
         }
     }
 
-    /// Creates a fresh rolling evaluation session against this context
-    /// (one per worker thread; sessions are not `Sync`).
+    /// Creates a new evaluation session against this context (one per
+    /// concurrent evaluation; sessions are not `Sync`).
     pub fn delta_session(&self) -> DeltaSession {
         DeltaSession {
             refolder: Refolder::new(),
@@ -493,10 +381,8 @@ impl<'a> OverlayContext<'a> {
 
     /// One walk over the fold's survivors in construction order: area
     /// and power sums plus incremental re-timing, assembled into the
-    /// final [`PruneEval`]. Shared verbatim between the fresh and the
-    /// session paths so both produce the same f64 summation sequence —
-    /// the same order as the rebuild path's separate area/power/STA
-    /// walks.
+    /// final [`PruneEval`], in the same f64 summation order as the
+    /// rebuild path's separate area/power/STA walks.
     fn survivor_walk(
         &self,
         n_pruned: usize,
@@ -614,6 +500,21 @@ mod tests {
         (c, train, test)
     }
 
+    fn context(c: &BespokeCircuit, test: &Dataset, lib: &Library) -> OverlayContext {
+        let tech = egt_pdk::TechParams::egt();
+        OverlayContext::new(c.netlist.clone(), c.model.clone(), Arc::new(test.clone()), lib, tech)
+            .unwrap()
+    }
+
+    fn assert_bit_equal(got: &PruneEval, want: &PruneEval, what: &str) {
+        assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits(), "{what}: accuracy");
+        assert_eq!(got.area_mm2.to_bits(), want.area_mm2.to_bits(), "{what}: area");
+        assert_eq!(got.power_mw.to_bits(), want.power_mw.to_bits(), "{what}: power");
+        assert_eq!(got.critical_ms.to_bits(), want.critical_ms.to_bits(), "{what}: delay");
+        assert_eq!(got.gate_count, want.gate_count, "{what}: gate count");
+        assert_eq!(got.n_pruned, want.n_pruned, "{what}: n_pruned");
+    }
+
     #[test]
     fn overlay_is_bit_identical_to_rebuild_across_the_grid() {
         let (c, train, test) = setup();
@@ -621,60 +522,43 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let a = analyze(&c.netlist, &c.model, &train);
         let grid = enumerate_grid(&a, &PruneConfig::default());
-        let ctx = OverlayContext::new(&c.netlist, &c.model, &test, &lib, &tech).unwrap();
+        let ctx = context(&c, &test, &lib);
         for set in &grid.sets {
-            let overlay = ctx.evaluate(&a, set).unwrap();
+            // A new session per set: the fresh-evaluation shape.
+            let overlay = ctx.evaluate(&a, set, &mut ctx.delta_session()).unwrap();
             let rebuild =
                 try_evaluate_set_rebuild(&c.netlist, &c.model, &test, &lib, &tech, &a, set)
                     .unwrap();
-            assert_eq!(
-                overlay.accuracy.to_bits(),
-                rebuild.accuracy.to_bits(),
-                "accuracy diverged on |set| = {}",
-                set.len()
-            );
-            assert_eq!(overlay.area_mm2.to_bits(), rebuild.area_mm2.to_bits(), "area");
-            assert_eq!(overlay.power_mw.to_bits(), rebuild.power_mw.to_bits(), "power");
-            assert_eq!(overlay.critical_ms.to_bits(), rebuild.critical_ms.to_bits(), "delay");
-            assert_eq!(overlay.gate_count, rebuild.gate_count, "gate count");
-            assert_eq!(overlay.n_pruned, rebuild.n_pruned);
+            assert_bit_equal(&overlay, &rebuild, &format!("|set| = {}", set.len()));
         }
         assert!(!grid.sets.is_empty());
+        let stats = ctx.delta_stats();
+        assert_eq!(stats.delta_folds, 0, "new sessions have nothing to resume");
+        assert_eq!(stats.full_folds, grid.sets.len() as u64);
     }
 
     #[test]
     fn session_chain_is_bit_identical_to_fresh_evaluate() {
         let (c, train, test) = setup();
         let lib = egt_pdk::egt_library();
-        let tech = egt_pdk::TechParams::egt();
         let a = analyze(&c.netlist, &c.model, &train);
         let grid = enumerate_grid(&a, &PruneConfig::default());
-        let ctx = OverlayContext::new(&c.netlist, &c.model, &test, &lib, &tech).unwrap();
+        let ctx = context(&c, &test, &lib);
         let mut session = ctx.delta_session();
         // Forward then reverse: the forward leg resumes neighbouring
         // sets with small deltas, the reverse leg jumps between mostly
         // disjoint sets and exercises the profitability fallback.
         for set in grid.sets.iter().chain(grid.sets.iter().rev()) {
-            let fresh = ctx.evaluate(&a, set).unwrap();
-            let delta = ctx.evaluate_with_session(&a, set, &mut session).unwrap();
-            assert_eq!(
-                delta.accuracy.to_bits(),
-                fresh.accuracy.to_bits(),
-                "accuracy diverged on |set| = {}",
-                set.len()
-            );
-            assert_eq!(delta.area_mm2.to_bits(), fresh.area_mm2.to_bits(), "area");
-            assert_eq!(delta.power_mw.to_bits(), fresh.power_mw.to_bits(), "power");
-            assert_eq!(delta.critical_ms.to_bits(), fresh.critical_ms.to_bits(), "delay");
-            assert_eq!(delta.gate_count, fresh.gate_count, "gate count");
-            assert_eq!(delta.n_pruned, fresh.n_pruned);
+            let fresh = ctx.evaluate(&a, set, &mut ctx.delta_session()).unwrap();
+            let delta = ctx.evaluate(&a, set, &mut session).unwrap();
+            assert_bit_equal(&delta, &fresh, &format!("|set| = {}", set.len()));
         }
         let stats = ctx.delta_stats();
         assert!(stats.delta_folds > 0, "the chain should resume at least one fold");
         assert_eq!(
             stats.delta_folds + stats.full_folds,
             4 * grid.sets.len() as u64,
-            "every fold (fresh oracle + session) lands in exactly one counter"
+            "every fold (new-session oracle + chain) lands in exactly one counter"
         );
         assert!(stats.hit_rate().unwrap() > 0.0);
         assert!(stats.mean_delta().unwrap() > 0.0);
@@ -682,13 +566,17 @@ mod tests {
 
     #[test]
     fn missing_library_cells_error_instead_of_panicking() {
-        let (c, train, test) = setup();
+        let (c, _, test) = setup();
         let empty = Library::new("empty", 1.0);
-        let tech = egt_pdk::TechParams::egt();
-        let _a = analyze(&c.netlist, &c.model, &train);
         // The base timing profile already needs the library.
-        let err = OverlayContext::new(&c.netlist, &c.model, &test, &empty, &tech)
-            .expect_err("empty library cannot profile the base circuit");
+        let err = OverlayContext::new(
+            c.netlist.clone(),
+            c.model.clone(),
+            Arc::new(test),
+            &empty,
+            egt_pdk::TechParams::egt(),
+        )
+        .expect_err("empty library cannot profile the base circuit");
         assert!(matches!(err, StudyError::Library(PdkError::UnknownCell(_))));
     }
 }

@@ -7,14 +7,13 @@ use pax_ml::Dataset;
 use pax_netlist::{NetId, Netlist};
 use pax_synth::{area, opt};
 
-use super::overlay::OverlayContext;
 use super::{PruneAnalysis, PruneConfig};
 use crate::error::StudyError;
 
 /// Content hash of a sorted pruned-gate set (FNV-1a over the net
-/// indices, salted with the set length). Used to key the grid dedup map
-/// and the exploration engine's evaluation cache without cloning full
-/// gate vectors.
+/// indices, salted with the set length). Buckets the grid dedup map and
+/// the exploration engine's evaluation cache; both compare the stored
+/// set on a hit.
 pub(crate) fn gate_set_hash(set: &[NetId]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -71,39 +70,29 @@ impl PruneGrid {
 pub fn enumerate_grid(analysis: &PruneAnalysis, cfg: &PruneConfig) -> PruneGrid {
     let mut combos = Vec::new();
     let mut sets: Vec<Vec<NetId>> = Vec::new();
-    // Keyed by the 64-bit content hash of the sorted set: large grids
-    // repeat the same pruning hundreds of times, and hashing beats
-    // cloning a full `Vec<NetId>` per combo. Debug builds verify that a
-    // hash hit really is the same set.
-    let mut dedup: HashMap<u64, usize> = HashMap::new();
+    // Large grids repeat the same pruning hundreds of times. Sets are
+    // bucketed by their 64-bit content hash and a hit compares the
+    // stored set, so a hash collision cannot merge two prunings.
+    let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
 
     for tau_c in cfg.tau_values() {
-        // Step 3: gates whose dominant-value fraction meets the
-        // threshold (see DESIGN.md on the τ ≥ τc reading).
-        let qualified: Vec<NetId> = analysis
-            .candidates
-            .iter()
-            .copied()
-            .filter(|&g| analysis.tau_of(g) >= tau_c - 1e-12)
-            .collect();
-        // Φτ: the relevant φc values for this τc.
-        let mut phis: Vec<i64> = qualified.iter().map(|&g| analysis.phi_of(g)).collect();
+        // Φτ: the relevant φc values for this τc — the distinct φ of
+        // the gates whose dominant-value fraction meets the threshold
+        // (see DESIGN.md on the τ ≥ τc reading).
+        let mut phis: Vec<i64> =
+            analysis.select(tau_c, i64::MAX).iter().map(|&g| analysis.phi_of(g)).collect();
         phis.sort_unstable();
         phis.dedup();
 
         for phi_c in phis {
-            let mut set: Vec<NetId> =
-                qualified.iter().copied().filter(|&g| analysis.phi_of(g) <= phi_c).collect();
-            set.sort_unstable();
-            let idx = match dedup.entry(gate_set_hash(&set)) {
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    let idx = *o.get();
-                    debug_assert_eq!(sets[idx], set, "gate-set hash collision");
-                    idx
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
+            let set = analysis.select(tau_c, phi_c);
+            let bucket = dedup.entry(gate_set_hash(&set)).or_default();
+            let idx = match bucket.iter().find(|&&i| sets[i] == set) {
+                Some(&i) => i,
+                None => {
                     sets.push(set);
-                    *v.insert(sets.len() - 1)
+                    bucket.push(sets.len() - 1);
+                    sets.len() - 1
                 }
             };
             combos.push(GridCombo { tau_c, phi_c, set: idx });
@@ -136,99 +125,15 @@ pub fn apply_set(base: &Netlist, analysis: &PruneAnalysis, set: &[NetId]) -> Net
     opt::apply_constants(base, &subst)
 }
 
-/// Evaluates every distinct pruned set of the grid in parallel over one
-/// shared [`OverlayContext`]: masked simulation of the shared compiled
-/// tape, symbolic fold for the surviving structure, incremental
-/// re-timing — no per-candidate re-synthesis or recompilation, with
-/// results bit-identical to the legacy rebuild pipeline (kept as
-/// [`try_evaluate_set_rebuild`], the differential-test oracle).
-///
-/// Returns one [`PruneEval`] per entry of `grid.sets`.
-///
-/// # Panics
-///
-/// Panics when the library does not cover the circuit or the dataset
-/// does not match the model — [`try_evaluate_grid`] surfaces those as
-/// [`StudyError`] instead.
-pub fn evaluate_grid(
-    base: &Netlist,
-    model: &QuantizedModel,
-    test: &Dataset,
-    lib: &Library,
-    tech: &TechParams,
-    analysis: &PruneAnalysis,
-    grid: &PruneGrid,
-) -> Vec<PruneEval> {
-    try_evaluate_grid(base, model, test, lib, tech, analysis, grid)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`evaluate_grid`] surfacing library/simulation problems as
-/// [`StudyError`] instead of panicking. The first failing candidate
-/// aborts the remaining (expensive) evaluations.
-pub fn try_evaluate_grid(
-    base: &Netlist,
-    model: &QuantizedModel,
-    test: &Dataset,
-    lib: &Library,
-    tech: &TechParams,
-    analysis: &PruneAnalysis,
-    grid: &PruneGrid,
-) -> Result<Vec<PruneEval>, StudyError> {
-    let n = grid.sets.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let ctx = OverlayContext::new(base, model, test, lib, tech)?;
-    // Work-stealing over a shared counter: set sizes (and thus fold and
-    // cone costs) vary wildly, so static chunking would leave threads
-    // idle. Results stream back over a channel; the first error trips
-    // the abort flag so the other workers stop draining the grid.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    let threads = std::thread::available_parallelism().map_or(4, |t| t.get()).min(16).min(n);
-    let (tx, rx) = std::sync::mpsc::channel::<Result<(usize, PruneEval), StudyError>>();
-    let collected: Vec<Result<(usize, PruneEval), StudyError>> = std::thread::scope(|s| {
-        for _ in 0..threads {
-            let next = &next;
-            let abort = &abort;
-            let ctx = &ctx;
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n || abort.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let r = ctx.evaluate(analysis, &grid.sets[i]);
-                let stop = r.is_err();
-                if stop {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                tx.send(r.map(|e| (i, e))).expect("receiver outlives workers");
-                if stop {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        rx.iter().collect()
-    });
-    let mut results: Vec<Option<PruneEval>> = vec![None; n];
-    for r in collected {
-        let (i, e) = r?;
-        results[i] = Some(e);
-    }
-    results.into_iter().map(|r| r.ok_or(StudyError::IncompleteGrid)).collect()
-}
-
-/// The legacy per-set pipeline: prune, re-synthesize, recompile,
+/// The rebuild pipeline for one set: prune, re-synthesize, recompile,
 /// re-simulate and walk area/power/timing on the rebuilt netlist.
 ///
 /// Production evaluation runs on the overlay
-/// ([`OverlayContext::evaluate`]); this path is kept as the
-/// **differential oracle** — `tests/proptest_overlay.rs` pins the
-/// overlay bit-for-bit against it on every axis — and as the
-/// [`EvalMode::Rebuild`](crate::explore::EvalMode) benchmark baseline.
+/// ([`OverlayContext::evaluate`](super::OverlayContext::evaluate));
+/// this path is kept as the **differential oracle** —
+/// `tests/proptest_overlay.rs` pins the overlay bit-for-bit against it
+/// on every axis — and as the benchmark baseline
+/// ([`Evaluator::evaluate_rebuild`](crate::explore::Evaluator::evaluate_rebuild)).
 pub fn try_evaluate_set_rebuild(
     base: &Netlist,
     model: &QuantizedModel,
@@ -313,7 +218,17 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let a = analyze(&c.netlist, &c.model, &train);
         let grid = enumerate_grid(&a, &PruneConfig::default());
-        let evals = evaluate_grid(&c.netlist, &c.model, &test, &lib, &tech, &a, &grid);
+        let ctx = crate::prune::OverlayContext::new(
+            c.netlist.clone(),
+            c.model.clone(),
+            std::sync::Arc::new(test),
+            &lib,
+            tech,
+        )
+        .unwrap();
+        let mut session = ctx.delta_session();
+        let evals: Vec<PruneEval> =
+            grid.sets.iter().map(|s| ctx.evaluate(&a, s, &mut session).unwrap()).collect();
         assert_eq!(evals.len(), grid.n_unique());
         let base_area = area::area_mm2(&c.netlist, &lib).unwrap();
         for e in &evals {

@@ -1,42 +1,43 @@
 //! Differential pinning of overlay evaluation against the rebuild
 //! pipeline.
 //!
-//! Overlay evaluation (`OverlayContext`: masked shared tape + symbolic
-//! fold + incremental re-timing) replaces the per-candidate
-//! re-synthesize/recompile/re-simulate pipeline everywhere. Its
-//! admission ticket is **bit-for-bit equality on every measured axis**
-//! — accuracy, area, power, critical-path delay (and gate counts) —
-//! against the legacy pipeline, which is kept as
-//! `try_evaluate_set_rebuild` solely to serve as this suite's oracle.
+//! Overlay evaluation (`OverlayContext` through a `DeltaSession`:
+//! rolling masked simulation + resumed symbolic fold + incremental
+//! re-timing) replaces the per-candidate re-synthesize/recompile/
+//! re-simulate pipeline everywhere. Its admission ticket is
+//! **bit-for-bit equality on every measured axis** — accuracy, area,
+//! power, critical-path delay (and gate counts) — against the rebuild
+//! pipeline, which is kept as `try_evaluate_set_rebuild` /
+//! `Evaluator::evaluate_rebuild` to serve as this suite's oracle.
 //!
 //! Covered here, on real bespoke circuits (classifier *and* regressor,
 //! so both score-decoding paths run):
 //!
-//! * random `(τc, φc)` candidates → bit-equal `PruneEval`s;
-//! * thread-count invariance of the masked tape execution;
-//! * the public `Evaluator` paths (`EvalMode::Overlay` vs
-//!   `EvalMode::Rebuild`) producing identical `DesignPoint`s;
-//! * `try_evaluate_grid` surfacing library gaps as `StudyError`
-//!   instead of panicking.
+//! * random `(τc, φc)` candidates on a new session → bit-equal
+//!   `PruneEval`s;
+//! * one session chained across random candidates and across the whole
+//!   grid → bit-equal at every link;
+//! * the public `Evaluator` path producing the same `DesignPoint`s as
+//!   its rebuild oracle, with and without the coefficient axis;
+//! * library gaps surfacing as `StudyError` instead of panicking.
 //!
 //! Run with a fixed seed (`PAX_PROPTEST_SEED=<n>`) for reproducible
 //! case streams — CI pins one in the `overlay-differential` job.
 
+use std::sync::Arc;
+
 use egt_pdk::{Library, TechParams};
 use pax_bespoke::BespokeCircuit;
-use pax_core::explore::{
-    Candidate, CoeffAxis, CoeffGene, EvalCache, EvalContext, EvalMode, Evaluator,
-};
+use pax_core::explore::{Candidate, CoeffAxis, CoeffGene, EvalCache, EvalContext, Evaluator};
 use pax_core::mult_cache::MultCache;
 use pax_core::prune::{
-    analyze, enumerate_grid, try_evaluate_grid, try_evaluate_set_rebuild, OverlayContext,
-    PruneAnalysis, PruneConfig, PruneEval,
+    analyze, enumerate_grid, try_evaluate_set_rebuild, OverlayContext, PruneAnalysis, PruneConfig,
+    PruneEval,
 };
-use pax_core::StudyError;
+use pax_core::{DesignPoint, StudyError};
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_ml::synth_data::blobs;
 use pax_ml::Dataset;
-use pax_netlist::NetId;
 use proptest::prelude::*;
 
 struct Fixture {
@@ -77,16 +78,28 @@ fn regressor_fixture(seed: u64) -> Fixture {
     Fixture { circuit, analysis, test }
 }
 
-/// The candidate's gate set under the paper's step-3 filter.
-fn gate_set(a: &PruneAnalysis, tau_c: f64, phi_c: i64) -> Vec<NetId> {
-    let mut set: Vec<NetId> = a
-        .candidates
-        .iter()
-        .copied()
-        .filter(|&g| a.tau_of(g) >= tau_c - 1e-12 && a.phi_of(g) <= phi_c)
-        .collect();
-    set.sort_unstable();
-    set
+fn overlay(f: &Fixture, lib: &Library, tech: &TechParams) -> OverlayContext {
+    OverlayContext::new(
+        f.circuit.netlist.clone(),
+        f.circuit.model.clone(),
+        Arc::new(f.test.clone()),
+        lib,
+        tech.clone(),
+    )
+    .expect("context over the EGT library")
+}
+
+fn rebuild(f: &Fixture, lib: &Library, tech: &TechParams, set: &[pax_netlist::NetId]) -> PruneEval {
+    try_evaluate_set_rebuild(
+        &f.circuit.netlist,
+        &f.circuit.model,
+        &f.test,
+        lib,
+        tech,
+        &f.analysis,
+        set,
+    )
+    .expect("rebuild evaluation")
 }
 
 fn assert_bit_equal(overlay: &PruneEval, rebuild: &PruneEval, what: &str) {
@@ -98,28 +111,30 @@ fn assert_bit_equal(overlay: &PruneEval, rebuild: &PruneEval, what: &str) {
     assert_eq!(overlay.n_pruned, rebuild.n_pruned, "{what}: n_pruned");
 }
 
-fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64, threads: usize) {
+fn assert_points_equal(a: &[(Candidate, DesignPoint)], b: &[(Candidate, DesignPoint)]) {
+    assert_eq!(a.len(), b.len());
+    for ((ca, pa), (cb, pb)) in a.iter().zip(b) {
+        assert_eq!(ca, cb);
+        assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits(), "{ca:?}: accuracy");
+        assert_eq!(pa.area_mm2.to_bits(), pb.area_mm2.to_bits(), "{ca:?}: area");
+        assert_eq!(pa.power_mw.to_bits(), pb.power_mw.to_bits(), "{ca:?}: power");
+        assert_eq!(pa.critical_ms.to_bits(), pb.critical_ms.to_bits(), "{ca:?}: delay");
+        assert_eq!(pa.gate_count, pb.gate_count, "{ca:?}: gate count");
+    }
+}
+
+/// One candidate on a new session (the fresh-evaluation shape) against
+/// the rebuild oracle.
+fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64) {
     let lib = egt_pdk::egt_library();
     let tech = TechParams::egt();
-    let set = gate_set(&f.analysis, tau_c, phi_c);
-    let ctx = OverlayContext::new(&f.circuit.netlist, &f.circuit.model, &f.test, &lib, &tech)
-        .expect("context over the EGT library")
-        .with_threads(threads);
-    let overlay = ctx.evaluate(&f.analysis, &set).expect("overlay evaluation");
-    let rebuild = try_evaluate_set_rebuild(
-        &f.circuit.netlist,
-        &f.circuit.model,
-        &f.test,
-        &lib,
-        &tech,
-        &f.analysis,
-        &set,
-    )
-    .expect("rebuild evaluation");
+    let set = f.analysis.select(tau_c, phi_c);
+    let ctx = overlay(f, &lib, &tech);
+    let got = ctx.evaluate(&f.analysis, &set, &mut ctx.delta_session()).expect("overlay");
     assert_bit_equal(
-        &overlay,
-        &rebuild,
-        &format!("τc={tau_c} φc={phi_c} |set|={} threads={threads}", set.len()),
+        &got,
+        &rebuild(f, &lib, &tech, &set),
+        &format!("τc={tau_c} φc={phi_c} |set|={}", set.len()),
     );
 }
 
@@ -127,16 +142,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Classifier circuits: overlay == rebuild on all four axes, for
-    /// random threshold pairs and thread counts.
+    /// random threshold pairs.
     #[test]
     fn classifier_overlay_equals_rebuild(
         seed in any::<u64>(),
         tau_c in 0.5f64..1.0,
         phi_raw in -1i64..12,
-        threads in 1usize..4,
     ) {
         let f = classifier_fixture(seed);
-        check_fixture(&f, tau_c, phi_raw, threads);
+        check_fixture(&f, tau_c, phi_raw);
     }
 
     /// Regressor circuits exercise the `score0` dequantization path.
@@ -147,13 +161,13 @@ proptest! {
         phi_raw in -1i64..12,
     ) {
         let f = regressor_fixture(seed);
-        check_fixture(&f, tau_c, phi_raw, 1);
+        check_fixture(&f, tau_c, phi_raw);
     }
 
     /// One `DeltaSession` reused across a random `(τc, φc)` chain —
     /// neighbour steps and arbitrary jumps alike — must stay bit-equal
-    /// to a fresh `evaluate` at every link. This is the property the
-    /// evaluator's lattice-ordered worker sessions rely on.
+    /// to the rebuild oracle at every link. This is the property the
+    /// evaluator's pooled sessions rely on.
     #[test]
     fn delta_session_chain_equals_fresh_evaluate(
         seed in any::<u64>(),
@@ -162,58 +176,72 @@ proptest! {
         let f = classifier_fixture(seed);
         let lib = egt_pdk::egt_library();
         let tech = TechParams::egt();
-        let ctx = OverlayContext::new(&f.circuit.netlist, &f.circuit.model, &f.test, &lib, &tech)
-            .expect("context over the EGT library");
+        let ctx = overlay(&f, &lib, &tech);
         let mut session = ctx.delta_session();
         for (i, &(tau_c, phi_c)) in chain.iter().enumerate() {
-            let set = gate_set(&f.analysis, tau_c, phi_c);
-            let fresh = ctx.evaluate(&f.analysis, &set).expect("fresh evaluation");
-            let delta = ctx
-                .evaluate_with_session(&f.analysis, &set, &mut session)
-                .expect("session evaluation");
-            assert_bit_equal(&delta, &fresh, &format!("chain step {i} |set|={}", set.len()));
+            let set = f.analysis.select(tau_c, phi_c);
+            let delta = ctx.evaluate(&f.analysis, &set, &mut session).expect("session evaluation");
+            let want = rebuild(&f, &lib, &tech, &set);
+            assert_bit_equal(&delta, &want, &format!("chain step {i} |set|={}", set.len()));
         }
     }
 }
 
-/// Every distinct set of the paper's grid, at several thread counts:
-/// the masked tape's chunked toggle counting must not leak into any
-/// measured figure.
+/// Every distinct set of the paper's grid against the rebuild oracle:
+/// through one chained session in grid order, and through the
+/// evaluator's pooled sessions at one and at several workers (which
+/// session a job draws must not leak into any measured figure).
 #[test]
 fn grid_sweep_is_thread_invariant_and_bit_identical() {
     let f = classifier_fixture(1);
     let lib = egt_pdk::egt_library();
     let tech = TechParams::egt();
     let grid = enumerate_grid(&f.analysis, &PruneConfig::default());
-    let reference: Vec<PruneEval> = grid
-        .sets
+    let want: Vec<PruneEval> = grid.sets.iter().map(|s| rebuild(&f, &lib, &tech, s)).collect();
+    let ctx = overlay(&f, &lib, &tech);
+    let mut session = ctx.delta_session();
+    for (s, want) in grid.sets.iter().zip(&want) {
+        let got = ctx.evaluate(&f.analysis, s, &mut session).unwrap();
+        assert_bit_equal(&got, want, &format!("chain |set|={}", s.len()));
+    }
+    assert!(ctx.delta_stats().delta_folds > 0, "the grid chain never resumed a fold");
+
+    let candidates: Vec<Candidate> = grid
+        .combos
         .iter()
-        .map(|s| {
-            try_evaluate_set_rebuild(
-                &f.circuit.netlist,
-                &f.circuit.model,
-                &f.test,
-                &lib,
-                &tech,
-                &f.analysis,
-                s,
-            )
-            .unwrap()
-        })
+        .map(|c| Candidate { coeff: CoeffGene::exact(), tau_c: c.tau_c, phi_c: c.phi_c })
         .collect();
-    for threads in [1usize, 2, 8] {
-        let ctx = OverlayContext::new(&f.circuit.netlist, &f.circuit.model, &f.test, &lib, &tech)
-            .unwrap()
-            .with_threads(threads);
-        for (s, want) in grid.sets.iter().zip(&reference) {
-            let got = ctx.evaluate(&f.analysis, s).unwrap();
-            assert_bit_equal(&got, want, &format!("threads={threads} |set|={}", s.len()));
+    for threads in [1usize, 4] {
+        let eval = Evaluator::new(
+            &lib,
+            &tech,
+            &f.test,
+            vec![EvalContext {
+                coeff: CoeffGene::exact(),
+                netlist: &f.circuit.netlist,
+                model: &f.circuit.model,
+                analysis: f.analysis.clone(),
+            }],
+        )
+        .with_threads(threads);
+        let (points, fresh) =
+            eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
+        assert_eq!(fresh, grid.n_unique());
+        for ((_, p), combo) in points.iter().zip(&grid.combos) {
+            let e = &want[combo.set];
+            let what = format!("threads={threads} τc={} φc={}", combo.tau_c, combo.phi_c);
+            assert_eq!(p.accuracy.to_bits(), e.accuracy.to_bits(), "{what}: accuracy");
+            assert_eq!(p.area_mm2.to_bits(), e.area_mm2.to_bits(), "{what}: area");
+            assert_eq!(p.power_mw.to_bits(), e.power_mw.to_bits(), "{what}: power");
+            assert_eq!(p.critical_ms.to_bits(), e.critical_ms.to_bits(), "{what}: delay");
+            assert_eq!(p.gate_count, e.gate_count, "{what}: gate count");
         }
     }
 }
 
-/// The public engine path: an `Evaluator` in overlay mode produces
-/// `DesignPoint`s identical to one in rebuild mode.
+/// The public engine path: `Evaluator::evaluate_batch` (pooled
+/// sessions over scoped workers) produces `DesignPoint`s identical to
+/// its rebuild oracle, at one and at several workers.
 #[test]
 fn evaluator_modes_agree_bit_for_bit() {
     let f = classifier_fixture(2);
@@ -231,47 +259,45 @@ fn evaluator_modes_agree_bit_for_bit() {
         .iter()
         .map(|&(tau_c, phi_c)| Candidate { coeff: CoeffGene::exact(), tau_c, phi_c })
         .collect();
-
-    let overlay_eval = Evaluator::new(&lib, &tech, &f.test, contexts());
-    assert_eq!(overlay_eval.mode(), EvalMode::Overlay, "overlay is the default");
-    let (a, fresh_a) =
-        overlay_eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
-
-    let rebuild_eval =
-        Evaluator::new(&lib, &tech, &f.test, contexts()).with_mode(EvalMode::Rebuild);
-    let (b, fresh_b) =
-        rebuild_eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
-
-    assert_eq!(fresh_a, fresh_b);
-    assert_eq!(a.len(), b.len());
-    for ((ca, pa), (cb, pb)) in a.iter().zip(&b) {
-        assert_eq!(ca, cb);
-        assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits());
-        assert_eq!(pa.area_mm2.to_bits(), pb.area_mm2.to_bits());
-        assert_eq!(pa.power_mw.to_bits(), pb.power_mw.to_bits());
-        assert_eq!(pa.critical_ms.to_bits(), pb.critical_ms.to_bits());
-        assert_eq!(pa.gate_count, pb.gate_count);
+    let oracle =
+        Evaluator::new(&lib, &tech, &f.test, contexts()).evaluate_rebuild(&candidates).unwrap();
+    for threads in [1, 3] {
+        let eval = Evaluator::new(&lib, &tech, &f.test, contexts()).with_threads(threads);
+        let (got, _) = eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
+        assert_points_equal(&got, &oracle);
     }
 }
 
-/// Satellite: grid evaluation propagates library gaps as `StudyError`
-/// instead of panicking mid-pool.
+/// Library gaps surface from grid evaluation as `StudyError` instead
+/// of panicking mid-pool — from the production path and the oracle
+/// alike.
 #[test]
 fn grid_evaluation_surfaces_library_errors() {
     let f = classifier_fixture(3);
     let empty = Library::new("empty", 1.0);
     let tech = TechParams::egt();
     let grid = enumerate_grid(&f.analysis, &PruneConfig::default());
-    let err = try_evaluate_grid(
-        &f.circuit.netlist,
-        &f.circuit.model,
-        &f.test,
+    let candidates: Vec<Candidate> = grid
+        .combos
+        .iter()
+        .map(|c| Candidate { coeff: CoeffGene::exact(), tau_c: c.tau_c, phi_c: c.phi_c })
+        .collect();
+    let eval = Evaluator::new(
         &empty,
         &tech,
-        &f.analysis,
-        &grid,
-    )
-    .expect_err("empty library must fail, not panic");
+        &f.test,
+        vec![EvalContext {
+            coeff: CoeffGene::exact(),
+            netlist: &f.circuit.netlist,
+            model: &f.circuit.model,
+            analysis: f.analysis.clone(),
+        }],
+    );
+    let err = eval
+        .evaluate_batch(&candidates, &mut EvalCache::new(), None)
+        .expect_err("empty library must fail, not panic");
+    assert!(matches!(err, StudyError::Library(_)), "got {err}");
+    let err = eval.evaluate_rebuild(&candidates).expect_err("the oracle fails too");
     assert!(matches!(err, StudyError::Library(_)), "got {err}");
 }
 
@@ -306,9 +332,9 @@ proptest! {
 
     /// The graded coefficient axis: an evaluator whose space holds the
     /// exact base plus lazily-materialized per-gene contexts must
-    /// return bit-identical `DesignPoint`s in overlay and rebuild mode
-    /// for candidates on *every* gene — the stacked coeff+prune
-    /// admission ticket on all four measured axes.
+    /// return the same `DesignPoint`s as its rebuild oracle for
+    /// candidates on *every* gene — the stacked coeff+prune admission
+    /// ticket on all four measured axes.
     #[test]
     fn coeff_axis_overlay_equals_rebuild(
         seed in any::<u64>(),
@@ -334,20 +360,22 @@ proptest! {
             cache: &cache,
             levels: vec![2, 4],
         };
-        let overlay = Evaluator::new(&lib, &tech, &f.test, contexts()).with_coeff_axis(axis());
-        let rebuild = Evaluator::new(&lib, &tech, &f.test, contexts())
-            .with_coeff_axis(axis())
-            .with_mode(EvalMode::Rebuild);
+        let eval = Evaluator::new(&lib, &tech, &f.test, contexts()).with_coeff_axis(axis());
         // One candidate per gene: exact plus both graded levels.
-        let candidates: Vec<Candidate> = overlay
+        let candidates: Vec<Candidate> = eval
             .genes()
             .into_iter()
             .map(|coeff| Candidate { coeff, tau_c, phi_c: phi_raw })
             .collect();
         prop_assert!(candidates.len() >= 3, "axis must open graded contexts");
-        let (a, fresh_a) = overlay.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
-        let (b, fresh_b) = rebuild.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
-        prop_assert_eq!(fresh_a, fresh_b);
+        let (a, fresh) = eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
+        // A second evaluator keeps the oracle clear of any state the
+        // production path built.
+        let b = Evaluator::new(&lib, &tech, &f.test, contexts())
+            .with_coeff_axis(axis())
+            .evaluate_rebuild(&candidates)
+            .unwrap();
+        prop_assert_eq!(fresh, candidates.len());
         prop_assert_eq!(a.len(), b.len());
         for ((ca, pa), (cb, pb)) in a.iter().zip(&b) {
             prop_assert_eq!(ca, cb);

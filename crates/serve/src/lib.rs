@@ -35,7 +35,7 @@
 //!   a *tenant* ([`ServeEngine::register_tenant`]) with a bounded job
 //!   queue, optional job budget and its own metrics; the returned
 //!   [`TenantHandle`] implements `pax_core::explore::EvalFabric`, so a
-//!   `pax_core` evaluator in fabric mode ships candidate evaluations
+//!   `pax_core` evaluator built `with_fabric` ships candidate evaluations
 //!   ([`Job`]s) to the serve workers, where they share the pool with
 //!   live classification traffic — which keeps scan priority, since
 //!   requests are latency-bound and evaluations are throughput-bound.

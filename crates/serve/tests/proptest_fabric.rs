@@ -1,18 +1,21 @@
 //! Differential pinning of fabric-routed evaluation against in-process
-//! overlay evaluation.
+//! evaluation.
 //!
-//! `EvalMode::Fabric` ships each candidate evaluation as an owned job to
+//! An evaluator with a fabric attached submits each candidate's job to
 //! a [`ServeEngine`] tenant, where it runs on the shared serve worker
-//! pool instead of the evaluator's private thread pool. Its admission
-//! ticket is the same as overlay's was against rebuild: **bit-for-bit
-//! equality on every measured axis** — accuracy, area, power,
-//! critical-path delay (and gate counts) — plus identical cache
-//! accounting, on random circuits × random candidate batches.
+//! pool instead of the evaluator's scoped workers. The jobs are the
+//! same either way — a pooled delta session over the same owned
+//! context — so the admission ticket is **bit-for-bit equality on
+//! every measured axis** — accuracy, area, power, critical-path delay
+//! (and gate counts) — plus identical cache accounting, on random
+//! circuits × random candidate batches.
 //!
 //! Covered here:
 //!
 //! * random `(τc, φc)` batches → bit-equal `DesignPoint`s and equal
-//!   `EvalCache` hit/len counters between overlay and fabric;
+//!   `EvalCache` hit/len counters between in-process and fabric;
+//! * a fabric grid resumes folds from pooled sessions (delta reuse)
+//!   and stays bit-identical to in-process;
 //! * warmed-cache re-runs are pure hits in both modes and still agree;
 //! * worker-count invariance: engines with different pool sizes answer
 //!   identically (job chunking and scan order must not leak);
@@ -25,11 +28,9 @@
 use std::sync::Arc;
 
 use pax_bespoke::BespokeCircuit;
-use pax_core::explore::{
-    Candidate, CoeffGene, EvalCache, EvalContext, EvalMode, Evaluator, FabricError,
-};
+use pax_core::explore::{Candidate, CoeffGene, EvalCache, EvalContext, Evaluator, FabricError};
 use pax_core::framework::{Framework, FrameworkConfig};
-use pax_core::prune::{analyze, PruneAnalysis};
+use pax_core::prune::{analyze, enumerate_grid, PruneAnalysis, PruneConfig};
 use pax_core::{DesignPoint, StudyError};
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_ml::synth_data::blobs;
@@ -90,9 +91,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random circuits × candidate batches: evaluation routed through a
-    /// serve-engine tenant is bit-identical to in-process overlay
-    /// evaluation, including `EvalCache` hit/len accounting, and a
-    /// warmed cache answers the repeat batch without fresh work.
+    /// serve-engine tenant is bit-identical to in-process evaluation,
+    /// including `EvalCache` hit/len accounting, and a warmed cache
+    /// answers the repeat batch without fresh work.
     #[test]
     fn fabric_equals_overlay_bit_for_bit(
         seed in any::<u64>(),
@@ -105,7 +106,6 @@ proptest! {
         let candidates = candidates_of(&raw);
 
         let overlay = Evaluator::new(fw.library(), &tech, &f.test, contexts(&f));
-        prop_assert_eq!(overlay.mode(), EvalMode::Overlay, "overlay is the default");
         let mut cache_o = EvalCache::new();
         let (a, fresh_a) = overlay.evaluate_batch(&candidates, &mut cache_o, None).unwrap();
 
@@ -113,7 +113,6 @@ proptest! {
         let tenant = engine.register_tenant("prop-fabric", TenantOptions::default()).unwrap();
         let fabric = Evaluator::new(fw.library(), &tech, &f.test, contexts(&f))
             .with_fabric(Arc::new(tenant));
-        prop_assert_eq!(fabric.mode(), EvalMode::Fabric);
         let mut cache_f = EvalCache::new();
         let (b, fresh_b) = fabric.evaluate_batch(&candidates, &mut cache_f, None).unwrap();
 
@@ -226,18 +225,34 @@ fn fabric_after_shutdown_is_a_typed_study_error() {
     assert!(matches!(err, StudyError::Fabric(FabricError::Shutdown)), "got {err}");
 }
 
-/// A fabric-mode evaluator with no fabric attached is a configuration
-/// error, reported as such.
+/// A fabric grid runs every candidate through a pooled delta session:
+/// lattice-ordered jobs resume folds from the session their neighbour
+/// returned, and the results stay bit-identical to in-process.
 #[test]
-fn fabric_mode_without_fabric_is_not_attached() {
+fn fabric_grid_takes_the_delta_path() {
     let f = fixture(13);
     let fw = Framework::new(FrameworkConfig::default());
     let tech = fw.config().tech.clone();
-    let candidates = candidates_of(&[(0.8, 3)]);
-    let eval =
-        Evaluator::new(fw.library(), &tech, &f.test, contexts(&f)).with_mode(EvalMode::Fabric);
-    let err = eval
-        .evaluate_batch(&candidates, &mut EvalCache::new(), None)
-        .expect_err("no fabric attached");
-    assert!(matches!(err, StudyError::Fabric(FabricError::NotAttached)), "got {err}");
+    let grid = enumerate_grid(&f.analysis, &PruneConfig::default());
+    let candidates: Vec<Candidate> = grid
+        .combos
+        .iter()
+        .map(|c| Candidate { coeff: CoeffGene::exact(), tau_c: c.tau_c, phi_c: c.phi_c })
+        .collect();
+    let in_process = Evaluator::new(fw.library(), &tech, &f.test, contexts(&f));
+    let (a, _) = in_process.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
+
+    let engine = ServeEngine::new(EngineConfig { workers: 2, ..Default::default() });
+    let tenant = engine.register_tenant("prop-grid", TenantOptions::default()).unwrap();
+    let fabric =
+        Evaluator::new(fw.library(), &tech, &f.test, contexts(&f)).with_fabric(Arc::new(tenant));
+    let (b, fresh) = fabric.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
+    engine.shutdown();
+
+    assert_eq!(fresh, grid.n_unique());
+    assert!(fresh > 2, "the fixture's grid is too small to chain");
+    let stats = fabric.delta_stats();
+    assert!(stats.delta_folds > 0, "the fabric grid never resumed a fold: {stats:?}");
+    assert_eq!(stats.delta_folds + stats.full_folds, fresh as u64);
+    assert_points_equal(&a, &b, "in-process vs fabric grid");
 }

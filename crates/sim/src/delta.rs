@@ -2,13 +2,11 @@
 //! chain of related masks, re-executing only what changed between
 //! neighbours.
 //!
-//! [`CompiledNetlist::run_masked`] +
-//! [`CompiledNetlist::masked_activity`](CompiledNetlist::masked_activity)
-//! price every candidate at one full fused pass over the tape plus a
-//! cone-restricted activity recompute. Across a lattice-ordered batch of
-//! pruning candidates, consecutive masks differ by a handful of nets —
-//! the full fused pass mostly recomputes values the previous candidate
-//! already produced.
+//! A full masked run ([`CompiledNetlist::run_masked_with_activity`])
+//! prices every candidate at one pass over the whole tape. Across a
+//! lattice-ordered batch of pruning candidates, consecutive masks
+//! differ by a handful of nets — the full pass mostly recomputes values
+//! the previous candidate already produced.
 //!
 //! [`DeltaSim`] keeps the complete per-word value rows of the *current*
 //! mask (seeded from a [`BaseTrace`]) and, per
@@ -16,15 +14,15 @@
 //! downstream of the symmetric difference between the current and the
 //! requested mask — in unfused tape order, in place — then re-counts
 //! only those slots. Functional outputs are harvested straight from the
-//! rows, so the fused pass disappears entirely.
+//! rows. A new `DeltaSim` is a from-scratch masked evaluation: its
+//! first step re-executes the mask's whole fanout over the base trace.
 //!
 //! Bit-identity: the rows evolve under exactly the unfused masked
 //! semantics of [`CompiledNetlist::run_masked_with_activity`] (same
 //! instruction rewiring, same reserved constant slots, same tail-lane
-//! masking, same toggle-boundary rules), and unfused == fused is pinned
-//! by the engine's differential suite — so every step's outputs and
+//! masking, same toggle-boundary rules), so every step's outputs and
 //! activity equal a from-scratch masked run bit for bit. The
-//! `proptest_engine` suite pins `DeltaSim::step` against both oracles
+//! `proptest_engine` suite pins `DeltaSim::step` against that oracle
 //! across random mask chains.
 
 use std::collections::BTreeMap;
@@ -105,9 +103,8 @@ impl DeltaSim {
     }
 
     /// Advances the session to `mask` (id-sorted, same contract as
-    /// [`CompiledNetlist::run_masked`]) and returns that mask's
-    /// functional outputs and full activity, bit-identical to
-    /// [`CompiledNetlist::run_masked`] /
+    /// [`CompiledNetlist::run_masked_with_activity`]) and returns that
+    /// mask's functional outputs and full activity, bit-identical to
     /// [`CompiledNetlist::run_masked_with_activity`] on the traced
     /// stimulus. `tape` must be the tape this session was seeded from.
     ///
@@ -202,7 +199,7 @@ impl DeltaSim {
         }
 
         // Re-execute and re-count only the changed cone, in place, with
-        // exactly `masked_activity`'s counting discipline.
+        // exactly the tracked runs' counting discipline.
         for w in 0..self.n_words {
             let row = &mut self.rows[w];
             for &at in &sel {
@@ -304,10 +301,8 @@ mod tests {
             let mut sorted = mask.clone();
             sorted.sort_unstable_by_key(|&(n, _)| n);
             let (outputs, activity) = sim.step(&tape, &sorted);
-            let fused = tape.run_masked(&packed, &sorted);
             let oracle = tape.run_masked_with_activity(&packed, &sorted);
             for port in ["y", "z"] {
-                assert_eq!(outputs.port_values(port), fused.port_values(port), "mask {mask:?}");
                 assert_eq!(outputs.port_values(port), oracle.port_values(port), "mask {mask:?}");
             }
             for i in 0..nl.len() {

@@ -30,15 +30,9 @@
 //!   unfused; sparse/monotone cones (AND/OR networks, comparators)
 //!   fuse.
 //!
-//! Masking composes with fusion without recompiling (see
-//! `CompiledNetlist::run_masked`): a pruned net that is a cone
-//! *output* splats the table to a constant; a pruned net *internal* to
-//! a cone re-derives that cone's table with the net tied to its
-//! constant — a pure table transform via [`FusedTape::derive_table`].
-//!
 //! Activity accounting cannot see inside a fused cone (internal nets
-//! are never materialized), which is why every activity-tracking path
-//! executes the unfused tape.
+//! are never materialized), which is why every activity-tracking and
+//! masked path executes the unfused tape.
 
 use pax_netlist::GateKind;
 
@@ -67,8 +61,8 @@ pub(crate) struct Run {
 /// `u64` (2^6 = 64 rows).
 pub(crate) const MAX_K: usize = 6;
 
-/// Maximum gates absorbed into one cone — bounds the cost of re-deriving
-/// a table when a mask lands inside the cone.
+/// Maximum gates absorbed into one cone — bounds the compile-time cost
+/// of deriving its table.
 const MAX_MEMBERS: usize = 24;
 
 /// Input-pattern words for table derivation: bit (row) `r` of `PAT[j]`
@@ -114,18 +108,9 @@ pub(crate) enum Step {
     Luts { start: u32, end: u32 },
 }
 
-/// The compile-time record of one cone — everything needed to re-derive
-/// its table when a mask lands on an internal net.
-#[derive(Debug, Clone)]
-pub(crate) struct Cone {
-    /// Member instruction positions in the *unfused* tape, ascending
-    /// (topological). The last member is the cone output.
-    pub members: Vec<u32>,
-}
-
 /// The fused execution plan derived from an unfused tape: residual gate
 /// instructions (kind-grouped), LUT instructions, and the interleaved
-/// step stream. Slot-indexed maps route masks to the right rewrite.
+/// step stream.
 #[derive(Debug, Clone)]
 pub(crate) struct FusedTape {
     /// Residual (unfused) gate instructions, original tape order.
@@ -136,14 +121,6 @@ pub(crate) struct FusedTape {
     pub luts: Vec<LutInstr>,
     /// Interleaving of `runs` and `luts` ranges, topological.
     pub steps: Vec<Step>,
-    /// Per-LUT cone records (parallel to `luts`).
-    pub cones: Vec<Cone>,
-    /// Slot → residual instruction position (`u32::MAX` otherwise).
-    pub instr_of: Vec<u32>,
-    /// Slot → LUT index for cone outputs (`u32::MAX` otherwise).
-    pub lut_of: Vec<u32>,
-    /// Slot → LUT index for cone-*internal* nets (`u32::MAX` otherwise).
-    pub cone_of: Vec<u32>,
 }
 
 impl FusedTape {
@@ -183,10 +160,7 @@ impl FusedTape {
         // tape order roots cones as close to the outputs as possible,
         // so deep fan-in logic is absorbed upward.
         let mut covered = vec![false; instrs.len()];
-        let mut lut_of = vec![u32::MAX; n_slots];
-        let mut cone_of = vec![u32::MAX; n_slots];
         let mut lut_at: Vec<Option<LutInstr>> = vec![None; instrs.len()];
-        let mut cone_at: Vec<Option<Cone>> = vec![None; instrs.len()];
         for root in (0..instrs.len()).rev() {
             if covered[root] || kinds[root].is_free() {
                 continue;
@@ -197,7 +171,7 @@ impl FusedTape {
                 continue;
             };
             let k = inputs.len() as u8;
-            let table = derive_table_raw(instrs, kinds, &members, &inputs, &const_of, &[]);
+            let table = cone_table(instrs, kinds, &members, &inputs, &const_of);
             // Profitability: a decoded gate instruction costs ~4 units
             // (index loads, value loads, op, store); a LUT costs its
             // gather (k), its pruned-Shannon op count, and ~2 units of
@@ -215,7 +189,6 @@ impl FusedTape {
             ins[..inputs.len()].copy_from_slice(&inputs);
             let dst = instrs[root].dst;
             lut_at[root] = Some(LutInstr { table, dst, k, ins });
-            cone_at[root] = Some(Cone { members });
         }
 
         // Assemble the fused stream in original tape order: uncovered
@@ -224,29 +197,17 @@ impl FusedTape {
         let mut fused_instrs: Vec<Instr> = Vec::new();
         let mut runs: Vec<Run> = Vec::new();
         let mut luts: Vec<LutInstr> = Vec::new();
-        let mut cones: Vec<Cone> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
-        let mut instr_of = vec![u32::MAX; n_slots];
         for (at, i) in instrs.iter().enumerate() {
             if let Some(lut) = lut_at[at] {
-                let cone = cone_at[at].take().expect("cone recorded with lut");
                 let idx = luts.len() as u32;
-                lut_of[lut.dst as usize] = idx;
-                for &m in &cone.members {
-                    let dst = instrs[m as usize].dst as usize;
-                    if dst != lut.dst as usize {
-                        cone_of[dst] = idx;
-                    }
-                }
                 match steps.last_mut() {
                     Some(Step::Luts { end, .. }) if *end == idx => *end = idx + 1,
                     _ => steps.push(Step::Luts { start: idx, end: idx + 1 }),
                 }
                 luts.push(lut);
-                cones.push(cone);
             } else if !covered[at] {
                 let pos = fused_instrs.len() as u32;
-                instr_of[i.dst as usize] = pos;
                 fused_instrs.push(*i);
                 let kind = kinds[at];
                 let last_run = runs.len().wrapping_sub(1) as u32;
@@ -262,25 +223,7 @@ impl FusedTape {
             }
         }
 
-        Self { instrs: fused_instrs, runs, luts, steps, cones, instr_of, lut_of, cone_of }
-    }
-
-    /// Re-derives cone `cone_idx`'s truth table with the given internal
-    /// nets tied to constants (`ties` are `(slot, value)` pairs) — the
-    /// pure table transform masked execution uses when a pruned net is
-    /// internal to a cone. Requires the *unfused* tape (`instrs` +
-    /// `kinds`) the cone was built from.
-    pub fn derive_table(
-        &self,
-        cone_idx: usize,
-        instrs: &[Instr],
-        kinds: &[GateKind],
-        const_of: &[Option<bool>],
-        ties: &[(u32, bool)],
-    ) -> u64 {
-        let lut = &self.luts[cone_idx];
-        let inputs = &lut.ins[..lut.k as usize];
-        derive_table_raw(instrs, kinds, &self.cones[cone_idx].members, inputs, const_of, ties)
+        Self { instrs: fused_instrs, runs, luts, steps }
     }
 }
 
@@ -363,16 +306,14 @@ fn grow_cone(
     Some((members.into_iter().collect(), inputs.into_iter().collect()))
 }
 
-/// Evaluates a cone's members over the 64 input-pattern rows, honoring
-/// `ties` (internal `(slot, value)` constants), and returns the truth
-/// table normalized to `2^k` rows.
-fn derive_table_raw(
+/// Evaluates a cone's members over the 64 input-pattern rows and
+/// returns the truth table normalized to `2^k` rows.
+fn cone_table(
     instrs: &[Instr],
     kinds: &[GateKind],
     members: &[u32],
     inputs: &[u32],
     const_of: &[Option<bool>],
-    ties: &[(u32, bool)],
 ) -> u64 {
     use std::collections::BTreeMap;
     let mut scratch: BTreeMap<u32, u64> =
@@ -398,10 +339,7 @@ fn derive_table_raw(
         let a = if arity > 0 { get(ops[0]) } else { 0 };
         let b = if arity > 1 { get(ops[1]) } else { 0 };
         let c = if arity > 2 { get(ops[2]) } else { 0 };
-        let mut v = kind.eval_word(a, b, c);
-        if let Some(&(_, value)) = ties.iter().find(|&&(slot, _)| slot == i.dst) {
-            v = if value { u64::MAX } else { 0 };
-        }
+        let v = kind.eval_word(a, b, c);
         scratch.insert(i.dst, v);
         out = v; // the last member is the cone output
     }

@@ -5,7 +5,8 @@
 //! (`CompiledNetlist`, sequential and multi-threaded) are pinned to it
 //! on arbitrary random circuits and stimuli — functional outputs *and*
 //! per-net activity (ones, toggles), including across 64-sample word
-//! boundaries and thread-chunk boundaries.
+//! boundaries and thread-chunk boundaries. The delta simulation is
+//! pinned to the unfused masked run across random mask chains.
 //!
 //! Run with a fixed seed (`PAX_PROPTEST_SEED=<n>`) for reproducible
 //! case streams — CI pins one.
@@ -13,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use pax_netlist::{eval, NetId, Netlist, NetlistBuilder, Node};
-use pax_sim::{compare, simulate, CompiledNetlist, Stimulus};
+use pax_sim::{compare, simulate, CompiledNetlist, DeltaSim, Stimulus};
 use pax_synth::{bits, constmul, csa};
 use proptest::prelude::*;
 
@@ -310,22 +311,21 @@ proptest! {
         }
     }
 
-    /// Fused masked execution (residual-gate rewrites, cone-internal
-    /// table re-derivation, cone-output splats) equals the unfused
-    /// masked oracle on random netlists × random masks, at both word
-    /// widths.
+    /// A delta simulation stepped through a chain of random masks
+    /// (neighbour steps, re-valued nets and arbitrary jumps alike)
+    /// equals the from-scratch unfused masked oracle at every link, on
+    /// outputs and per-net activity.
     #[test]
-    fn fused_masked_matches_unfused_oracle(
+    fn delta_sim_chain_matches_unfused_oracle(
         seed in any::<u64>(),
         n_gates in 1usize..90,
         n_samples in 1usize..300,
-        n_mask in 0usize..8,
+        chain in proptest::collection::vec(0usize..8, 1..5),
     ) {
         let nl = random_netlist(seed, n_gates);
         let stim = random_stimulus(&nl, seed ^ 0xFACE, n_samples);
         let compiled = CompiledNetlist::compile(&nl);
-        // Maskable nets: gate-driven, not constant ties. Random picks
-        // land on residual gates, cone internals and cone outputs alike.
+        // Maskable nets: gate-driven, not constant ties.
         let candidates: Vec<NetId> = nl
             .iter()
             .filter_map(|(id, node)| match node {
@@ -333,31 +333,36 @@ proptest! {
                 _ => None,
             })
             .collect();
-        let mut state = seed ^ 0xC0DE;
-        let mut mask: Vec<(NetId, bool)> = Vec::new();
-        for _ in 0..n_mask {
-            if candidates.is_empty() {
-                break;
-            }
-            let net = candidates[(next(&mut state) % candidates.len() as u64) as usize];
-            if mask.iter().all(|&(n, _)| n != net) {
-                mask.push((net, next(&mut state) & 1 == 1));
-            }
-        }
         let packed = compiled.pack(&stim).expect("valid stimulus");
-        let oracle = compiled.run_masked_with_activity(&packed, &mask);
-        let fused = compiled.run_masked(&packed, &mask);
-        let wide = compiled.pack_wide(&stim).expect("valid stimulus");
-        let fused_wide = compiled.run_masked(&wide, &mask);
-        for p in nl.output_ports() {
-            prop_assert_eq!(
-                fused.port_values(&p.name), oracle.port_values(&p.name),
-                "fused masked diverges from oracle on {} (mask {:?})", p.name, mask
-            );
-            prop_assert_eq!(
-                fused_wide.port_values(&p.name), oracle.port_values(&p.name),
-                "wide fused masked diverges from oracle on {} (mask {:?})", p.name, mask
-            );
+        let mut sim = DeltaSim::new(&compiled, &compiled.trace(&packed));
+        let mut state = seed ^ 0xC0DE;
+        for n_mask in chain {
+            let mut mask: Vec<(NetId, bool)> = Vec::new();
+            for _ in 0..n_mask {
+                if candidates.is_empty() {
+                    break;
+                }
+                let net = candidates[(next(&mut state) % candidates.len() as u64) as usize];
+                if mask.iter().all(|&(n, _)| n != net) {
+                    mask.push((net, next(&mut state) & 1 == 1));
+                }
+            }
+            mask.sort_unstable_by_key(|&(n, _)| n);
+            let (outputs, activity) = sim.step(&compiled, &mask);
+            let oracle = compiled.run_masked_with_activity(&packed, &mask);
+            for p in nl.output_ports() {
+                prop_assert_eq!(
+                    outputs.port_values(&p.name), oracle.port_values(&p.name),
+                    "delta outputs diverge from oracle on {} (mask {:?})", p.name, mask
+                );
+            }
+            for i in 0..nl.len() {
+                let net = NetId::from_index(i);
+                prop_assert_eq!(activity.ones(net), oracle.activity.ones(net), "ones of {}", i);
+                prop_assert_eq!(
+                    activity.toggles(net), oracle.activity.toggles(net), "toggles of {}", i
+                );
+            }
         }
     }
 
